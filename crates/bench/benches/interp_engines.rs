@@ -86,7 +86,9 @@ fn main() {
     println!("\ninterp_engines: bytecode VM vs tree-walker = {speedup:.2}x");
 
     // One extra warm VM pass, metered: aggregate execution counters and
-    // the allocation events the whole workload costs after warmup.
+    // the allocation events the whole workload costs after warmup. The
+    // options leave `threads` at its default of 1, so no chunk threads
+    // are spawned and the calling thread's count is the whole figure.
     let vm_opts = engine_opts(Engine::Bytecode);
     let ((ctr, _checksum), allocs) = alloc_counter::count(|| {
         let mut ctr = VmCounters::default();

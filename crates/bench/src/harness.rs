@@ -167,14 +167,24 @@ pub fn fmt_dur(d: Duration) -> String {
 ///
 /// Install [`alloc_counter::CountingAlloc`] as the binary's
 /// `#[global_allocator]`, then bracket the region of interest with
-/// [`alloc_counter::count`]. The counter is a single relaxed atomic —
-/// cheap enough to leave on for timed runs, precise enough to prove a
-/// hot path steady-states at zero.
+/// [`alloc_counter::count`]. The counter is per thread, so allocations
+/// on other threads (sibling tests under the default harness, for one)
+/// never leak into the figure — cheap enough to leave on for timed
+/// runs, precise enough to prove a hot path steady-states at zero.
 pub mod alloc_counter {
     use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        // `const`-initialised and drop-free: reading or bumping it never
+        // allocates or registers a destructor, so the allocator itself
+        // may touch it.
+        static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn record() {
+        let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 
     /// `System` allocator wrapper that counts every allocation event
     /// (`alloc`, `alloc_zeroed`, and growth via `realloc`; frees are not
@@ -183,12 +193,12 @@ pub mod alloc_counter {
 
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            record();
             System.alloc(layout)
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            record();
             System.alloc_zeroed(layout)
         }
 
@@ -197,24 +207,19 @@ pub mod alloc_counter {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            record();
             System.realloc(ptr, layout, new_size)
         }
     }
 
-    /// Allocation events since process start (0 forever unless
-    /// [`CountingAlloc`] is the installed global allocator).
-    pub fn allocations() -> u64 {
-        ALLOCS.load(Ordering::Relaxed)
-    }
-
     /// Run `f` and return its result plus the number of allocation
-    /// events it performed. Only meaningful on a single-threaded region:
-    /// the counter is process-global.
+    /// events it performed on the calling thread. Allocations made
+    /// meanwhile by other threads — including any `f` spawns — are not
+    /// counted.
     pub fn count<T>(f: impl FnOnce() -> T) -> (T, u64) {
-        let before = allocations();
+        let before = THREAD_ALLOCS.with(Cell::get);
         let out = f();
-        let n = allocations() - before;
+        let n = THREAD_ALLOCS.with(Cell::get) - before;
         (out, n)
     }
 }

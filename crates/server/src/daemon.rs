@@ -1,7 +1,8 @@
 //! The daemon: acceptor, connection handlers, worker pool, and the
 //! degradation ladder.
 //!
-//! Life of a request: the acceptor admits a connection (bounded by
+//! Life of a request: the acceptor, blocked in `accept()` on a blocking
+//! listener, admits a connection the moment it arrives (bounded by
 //! [`ServerOptions::max_connections`] — beyond it, a `"busy"` rejection
 //! and close); the connection thread reads length-prefixed frames under
 //! a read timeout (slow-loris defence), decodes and validates the JSON
@@ -17,7 +18,11 @@
 //! The scope of every degradation is one request. The daemon process
 //! itself only exits on graceful drain: stop accepting, refuse new
 //! admissions, finish everything in flight, flush a final
-//! [`ServerMetrics`] snapshot.
+//! [`ServerMetrics`] snapshot. Drain stops the acceptor by waking it:
+//! it opens one loopback connection to the bound port, which the
+//! acceptor drops uncounted once it sees the drain flag. Should that
+//! connect fail, [`ServerHandle::join`] retries it once and, failing
+//! again, leaves the acceptor detached rather than wait on it forever.
 
 use crate::admission::{AdmissionQueue, AdmitError, TokenBuckets};
 use crate::proto::{
@@ -29,12 +34,20 @@ use ipp_core::service::{
 };
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Bound on the drain wake-up connect (loopback; normally immediate).
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Pause before retrying `accept()` after a failure that is not the one
+/// pending connection's own (out of descriptors or memory, say): such a
+/// failure persists, and retrying at once would only spin.
+const EXHAUSTED_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -80,7 +93,13 @@ impl Default for ServerOptions {
             max_connections: 64,
             max_frame_bytes: DEFAULT_MAX_FRAME,
             read_timeout_ms: 2_000,
-            cache_capacity: 256,
+            // Room for every cell of a 64-program pool under the
+            // seven-arm portfolio (448 entries; the four plain modes
+            // share their entries with arms). A cache smaller than its
+            // working set thrashes under FIFO eviction: a third of
+            // requests re-run the pipeline, and which third depends on
+            // how requests interleave, so throughput swings run to run.
+            cache_capacity: 1024,
             verify_max_ops: d.verify_max_ops,
             wall_budget_ms: 2_000,
             client_burst: 8,
@@ -155,6 +174,8 @@ struct Shared {
     /// (cache-served requests contribute zeros — the metered evaluate
     /// entry points only report fresh runs).
     vm: Mutex<fruntime::VmCounters>,
+    /// Where drain connects to wake the acceptor out of `accept()`.
+    wake_addr: SocketAddr,
 }
 
 impl Shared {
@@ -175,7 +196,15 @@ impl Shared {
                 .in_flight_at_drain
                 .store(in_flight, Ordering::SeqCst);
             self.queue.drain();
+            self.wake_acceptor();
         }
+    }
+
+    /// Return the acceptor, blocked in `accept()`, to its drain check by
+    /// connecting to it once. A failed connect is retried by
+    /// [`ServerHandle::join`].
+    fn wake_acceptor(&self) {
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
     }
 
     fn absorb_vm(&self, vm: &fruntime::VmCounters) {
@@ -257,9 +286,23 @@ impl ServerHandle {
     /// Wait for the daemon to drain (e.g. via a wire `shutdown` op) and
     /// return the final metrics snapshot.
     pub fn join(self) -> ServerMetrics {
-        let _ = self.acceptor.join();
+        // Workers exit only once drain has begun and the queue is empty.
         for w in self.workers {
             let _ = w.join();
+        }
+        // Drain's wake-up connection has normally stopped the acceptor
+        // by now. If that connect failed, wake it once more; should the
+        // acceptor still be blocked, leave it detached rather than hang:
+        // it drops whatever connects next, uncounted, and exits.
+        if !self.acceptor.is_finished() {
+            self.shared.wake_acceptor();
+            let deadline = Instant::now() + WAKE_TIMEOUT;
+            while !self.acceptor.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        if self.acceptor.is_finished() {
+            let _ = self.acceptor.join();
         }
         self.shared.snapshot()
     }
@@ -269,7 +312,6 @@ impl ServerHandle {
 /// return a handle.
 pub fn spawn(opts: ServerOptions) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&opts.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(Shared {
         queue: AdmissionQueue::new(opts.queue_capacity),
@@ -287,6 +329,7 @@ pub fn spawn(opts: ServerOptions) -> io::Result<ServerHandle> {
         counters: Counters::default(),
         failure_codes: Mutex::new(BTreeMap::new()),
         vm: Mutex::new(fruntime::VmCounters::default()),
+        wake_addr: wake_addr(addr),
         opts,
     });
 
@@ -316,9 +359,39 @@ pub fn spawn(opts: ServerOptions) -> io::Result<ServerHandle> {
     })
 }
 
+/// The address drain connects to: the bound address (port, IPv6 scope
+/// and flow info kept), with an unspecified IP (`0.0.0.0` / `[::]`)
+/// replaced by loopback of the same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    addr
+}
+
+/// Whether an `accept()` failure belongs to the one pending connection —
+/// aborted or reset before it was accepted, or the call interrupted — so
+/// the acceptor can take the next at once. Anything else (descriptor or
+/// memory exhaustion, an error the listener keeps returning) backs off.
+fn per_connection_error(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::ConnectionAborted
+            | io::ErrorKind::ConnectionReset
+            | io::ErrorKind::Interrupted
+    )
+}
+
 fn acceptor_loop(listener: TcpListener, shared: &Arc<Shared>) {
     while !shared.draining.load(Ordering::SeqCst) {
         match listener.accept() {
+            // Drain's wake-up call, or a client that raced it: either
+            // way not a connection to serve or count.
+            Ok(_) if shared.draining.load(Ordering::SeqCst) => return,
             Ok((stream, _)) => {
                 if shared.active_conns.load(Ordering::SeqCst) >= shared.opts.max_connections {
                     shared
@@ -343,10 +416,10 @@ fn acceptor_loop(listener: TcpListener, shared: &Arc<Shared>) {
                         shared.active_conns.fetch_sub(1, Ordering::SeqCst);
                     });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            // Aborted, reset or interrupted: that one connection is
+            // gone; accept the next.
+            Err(e) if per_connection_error(&e) => {}
+            Err(_) => std::thread::sleep(EXHAUSTED_BACKOFF),
         }
     }
 }
@@ -568,5 +641,80 @@ fn process_tournament(shared: &Arc<Shared>, req: &TournamentRequest) -> String {
             e.app = req.name.clone();
             proto::error_response(&req.id, &e)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::SocketAddrV6;
+
+    #[test]
+    fn wake_addr_maps_unspecified_binds_to_loopback_of_the_same_family() {
+        let at = |s: &str| s.parse::<SocketAddr>().unwrap();
+        assert_eq!(wake_addr(at("0.0.0.0:4100")), at("127.0.0.1:4100"));
+        assert_eq!(wake_addr(at("[::]:4100")), at("[::1]:4100"));
+        assert_eq!(wake_addr(at("127.0.0.1:4100")), at("127.0.0.1:4100"));
+        assert_eq!(wake_addr(at("10.1.2.3:4100")), at("10.1.2.3:4100"));
+        assert_eq!(wake_addr(at("[fe80::1]:4100")), at("[fe80::1]:4100"));
+        // A link-local bind keeps its scope: without it the connect has
+        // no interface to leave by, and drain would never wake.
+        let scoped = SocketAddr::V6(SocketAddrV6::new("fe80::1".parse().unwrap(), 4100, 7, 2));
+        assert_eq!(wake_addr(scoped), scoped);
+        let any_scoped = SocketAddr::V6(SocketAddrV6::new(Ipv6Addr::UNSPECIFIED, 4100, 7, 2));
+        assert_eq!(
+            wake_addr(any_scoped),
+            SocketAddr::V6(SocketAddrV6::new(Ipv6Addr::LOCALHOST, 4100, 7, 2))
+        );
+    }
+
+    #[test]
+    fn join_recovers_from_a_lost_drain_wake() {
+        // Begin drain the way `begin_drain` does, minus the wake-up
+        // connection: `join` must wake the acceptor itself.
+        let handle = spawn(ServerOptions {
+            workers: 1,
+            ..Default::default()
+        })
+        .expect("bind the daemon");
+        let addr = handle.addr();
+        // One exchange proves the acceptor is up; the pause lets it get
+        // back into `accept()` before the drain flag is raised.
+        let mut client = TcpStream::connect(addr).expect("connect");
+        crate::proto::write_frame(&mut client, "{\"op\":\"ping\"}").expect("send");
+        crate::proto::read_frame(&mut client, usize::MAX).expect("recv");
+        drop(client);
+        std::thread::sleep(Duration::from_millis(100));
+        handle.shared.draining.store(true, Ordering::SeqCst);
+        handle.shared.queue.drain();
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(handle.join());
+        });
+        let m = finished
+            .recv_timeout(Duration::from_secs(30))
+            .expect("join hung on a lost drain wake");
+        assert_eq!(m.connections, 1, "the wake was counted: {m:?}");
+        // The acceptor exited, not merely detached: its port is free.
+        TcpListener::bind(addr).expect("the acceptor still holds its port");
+    }
+
+    #[test]
+    fn only_per_connection_accept_errors_are_retried_at_once() {
+        for kind in [
+            io::ErrorKind::ConnectionAborted,
+            io::ErrorKind::ConnectionReset,
+            io::ErrorKind::Interrupted,
+        ] {
+            assert!(per_connection_error(&kind.into()), "{kind:?}");
+        }
+        // ENFILE, EMFILE, ENOBUFS, ENOMEM, EBADF, EINVAL: all persist,
+        // so the acceptor backs off on each.
+        #[cfg(target_os = "linux")]
+        for errno in [23, 24, 105, 12, 9, 22] {
+            let e = io::Error::from_raw_os_error(errno);
+            assert!(!per_connection_error(&e), "{e:?}");
+        }
+        assert!(!per_connection_error(&io::ErrorKind::OutOfMemory.into()));
     }
 }

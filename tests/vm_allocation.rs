@@ -6,7 +6,8 @@
 //! 2. **Allocator-level** — with a counting global allocator installed,
 //!    straight-line VM execution performs the same number of allocation
 //!    events regardless of iteration count: all allocation is setup, none
-//!    is per-iteration.
+//!    is per-iteration. The counter is per thread, so tests running in
+//!    parallel under the default harness do not disturb the figure.
 
 use bench::harness::alloc_counter::{self, CountingAlloc};
 use fruntime::{compile, run, run_compiled, Engine, ExecOptions};
@@ -187,5 +188,42 @@ fn straight_line_execution_allocates_nothing_per_iteration() {
     assert_eq!(
         small, large,
         "VM execution allocates per iteration: {small} allocs at 2k iters vs {large} at 20k"
+    );
+}
+
+#[test]
+fn count_ignores_allocations_made_on_other_threads() {
+    // The metered region only waits while a second thread allocates; a
+    // process-global counter would charge those allocations to it (the
+    // way sibling tests once leaked into the figure above).
+    use std::sync::{Arc, Barrier};
+    const BOXES: u64 = 1_000;
+    let barrier = Arc::new(Barrier::new(2));
+    let other = {
+        let barrier = Arc::clone(&barrier);
+        std::thread::spawn(move || {
+            // Warm-up rendezvous: any lazy set-up inside the barrier's
+            // lock happens before the metered window opens.
+            barrier.wait();
+            barrier.wait();
+            let (boxes, n) = alloc_counter::count(|| (0..BOXES).map(Box::new).collect::<Vec<_>>());
+            std::hint::black_box(boxes);
+            barrier.wait();
+            n
+        })
+    };
+    barrier.wait();
+    let ((), own) = alloc_counter::count(|| {
+        barrier.wait();
+        barrier.wait();
+    });
+    let theirs = other.join().unwrap();
+    assert!(
+        theirs >= BOXES,
+        "the second thread's allocations went uncounted: {theirs}"
+    );
+    assert_eq!(
+        own, 0,
+        "count charged another thread's allocations to the caller"
     );
 }
