@@ -7,11 +7,18 @@
 //! runs per cell, a third of which re-execute the *unchanged original
 //! program*. This driver makes the matrix a first-class workload:
 //!
+//! * **one cell evaluator** — [`evaluate_cell`] compiles, verifies and
+//!   scores one (job × configuration) cell. It is the only evaluator in
+//!   the workspace: the matrix ([`run_suite`],
+//!   [`crate::stream::run_stream`], [`crate::tournament::run_tournament`])
+//!   and the daemon's requests ([`crate::service`]) all call it, and it
+//!   alone holds the isolation boundary, the failure classification and
+//!   the wall-clock checkpoints;
 //! * **fan-out** — the cells go through a worker pool (std scoped threads
 //!   pulling from a shared queue), [`DriverOptions::workers`] wide;
 //! * **baseline memo** — the original program is interpreted once per
-//!   application and shared across all of its configurations, cutting
-//!   verification runs per app from 12 to 9;
+//!   application ([`JobMemo`]) and shared across all of its
+//!   configurations, cutting verification runs per app from 12 to 9;
 //! * **verify dedup** — configurations that emit byte-identical optimized
 //!   source (conventional inlining that found nothing to inline, an empty
 //!   annotation registry) share one verification, saving two more runs;
@@ -102,10 +109,6 @@ pub struct DriverOptions {
     pub verify_threads: usize,
     /// Machines simulated for Figure 20.
     pub machines: Vec<Machine>,
-    /// Interpret each original program once per app, not once per cell.
-    pub baseline_memo: bool,
-    /// Share verification across cells emitting byte-identical source.
-    pub verify_cache: bool,
     /// Per-interpreter-run op budget: the cell's deadline. A verification
     /// that burns through this much work is degraded to a reported
     /// [`FailCause::Timeout`] instead of running away with a worker.
@@ -137,14 +140,8 @@ pub struct DriverOptions {
     /// (0 = auto: enough to keep every worker busy). Bounds streaming
     /// memory: at most one window of jobs and reports is alive at once.
     pub stream_window: usize,
-    /// Tournament portfolio: the labelled configurations
-    /// [`crate::tournament::run_tournament`] fans out per app. Empty
-    /// selects the default portfolio ([`crate::tournament::portfolio`]).
-    /// The classic [`run_suite`] matrix ignores this field — its columns
-    /// are always the four [`InlineMode`]s.
-    pub arms: Vec<CellConfig>,
     /// Chaos seam: cells of applications named here panic deliberately at
-    /// the start of evaluation, to exercise the driver's `catch_unwind`
+    /// the start of evaluation, to exercise [`evaluate_cell`]'s
     /// isolation boundary (used by the fault-isolation tests and the
     /// chaos harness; empty in production).
     #[doc(hidden)]
@@ -157,14 +154,11 @@ impl Default for DriverOptions {
             workers: 0,
             verify_threads: 4,
             machines: Vec::new(),
-            baseline_memo: true,
-            verify_cache: true,
             verify_max_ops: ExecOptions::default().max_ops,
             wall_budget_ms: 0,
             engine: fruntime::Engine::default(),
             retain_results: false,
             stream_window: 0,
-            arms: Vec::new(),
             inject_panic: Vec::new(),
         }
     }
@@ -255,30 +249,48 @@ pub struct SuiteOutcome {
     pub metrics: SuiteMetrics,
 }
 
-/// One finished matrix cell, parked until assembly.
-enum CellOutcome {
-    /// The cell completed; payload boxed to keep the queue slot small.
-    Done(Box<CellDone>),
-    /// The cell failed; the suite degrades instead of dying.
-    Failed(PipelineError),
+/// A completed cell's payloads, handed to every caller of
+/// [`evaluate_cell`]: the matrix ([`run_suite`],
+/// [`crate::tournament::run_tournament`]) and the daemon's requests
+/// ([`crate::service`]).
+#[derive(Debug, Clone)]
+pub struct CellDone {
+    /// The compiled cell: emitted program and source, planner decisions.
+    pub result: PipelineResult,
+    /// The runtime testers' verdict, with the cost-model inputs (shared
+    /// with the memo's verify-dedup slot, not copied).
+    pub verify: Arc<VerifyResult>,
+    /// Tuned simulated speedup per [`DriverOptions::machines`], in order
+    /// (Figure 20's points; the tournament's and the daemon's scores).
+    pub fig20: Vec<Fig20Point>,
+    /// The cell's observability record.
+    pub metrics: CellMetrics,
 }
 
-/// A completed cell's payloads, handed to the matrix caller
-/// ([`run_suite`] or [`crate::tournament::run_tournament`]).
-pub(crate) struct CellDone {
-    pub(crate) result: PipelineResult,
-    pub(crate) verify: VerifyResult,
-    pub(crate) fig20: Vec<Fig20Point>,
-    pub(crate) metrics: CellMetrics,
-}
-
-/// (application index, emitted-source hash) keying a shared verification
-/// slot. The 128-bit key replaces retained whole-source strings; at that
-/// width accidental collision over a suite corpus is not a practical
-/// concern ([`source_key`]). Failed verifications are shared exactly like
-/// successful ones: byte-identical source fails identically.
+/// A shared verification slot, keyed by the emitted source's 128-bit
+/// [`source_key`]. At that width accidental collision over a suite corpus
+/// is not a practical concern. Failed verifications are shared exactly
+/// like successful ones: byte-identical source fails identically.
 type VerifySlot = OnceLock<Result<Arc<VerifyResult>, FailCause>>;
-type VerifyCache = HashMap<(usize, u128), Arc<VerifySlot>>;
+
+/// The memo handles every cell of one job shares: one lazily computed
+/// baseline run of the original program and the verify-dedup map. The
+/// matrix keeps one per application; a daemon request keeps one for its
+/// arms. Results are identical with or without sharing — the baseline is
+/// configuration-independent and the interpreter deterministic — so the
+/// memo only decides how many interpreter runs are paid, counted here.
+#[derive(Default)]
+pub struct JobMemo {
+    /// The original program's guarded run. Failures are memoized too: a
+    /// baseline that cannot run fails every cell of the job with the same
+    /// diagnostic, paying for one run.
+    baseline: OnceLock<Result<RunResult, FailCause>>,
+    /// Emitted-source key → shared verification outcome.
+    verified: Mutex<HashMap<u128, Arc<VerifySlot>>>,
+    interp_runs: AtomicU64,
+    memo_hits: AtomicU64,
+    cache_hits: AtomicU64,
+}
 
 /// 128-bit FNV-1a over the emitted source, the verify-dedup cache key.
 pub fn source_key(source: &str) -> u128 {
@@ -295,7 +307,8 @@ pub fn source_key(source: &str) -> u128 {
 /// Wall-clock deadline for one cell or one service request, layered on
 /// the op-budget deadline. The op budget bounds interpreter fuel; this
 /// bounds everything else (compile, lowering, queueing inside a cell) at
-/// stage-boundary granularity. Started when evaluation begins, checked
+/// stage-boundary granularity. The caller starts it — per cell in the
+/// matrix, per request in the daemon — and [`evaluate_cell`] checks it
 /// between stages; expiry maps to [`FailCause::Timeout`] with `wall_ms`
 /// carrying the budget that ran out.
 #[derive(Debug, Clone, Copy)]
@@ -327,15 +340,217 @@ impl WallDeadline {
     }
 }
 
-/// Lock acquisition that survives poisoning. A worker that panicked while
-/// holding one of the driver's locks already had its cell degraded by the
-/// `catch_unwind` boundary; the data under the lock is a plain value
-/// (queue entry / finished cell / cache slot) that is either intact or
-/// about to be overwritten, so recovery is safe — and losing the whole
-/// suite to a poisoned mutex is exactly the failure mode this driver
-/// exists to prevent.
+/// Lock acquisition that survives poisoning. Every cell runs behind
+/// [`evaluate_cell`]'s isolation boundary, so a lock can only be poisoned
+/// by a fault already reported as a cell failure; the data under it is a
+/// plain value (queue entry / finished cell / cache slot) that is either
+/// intact or about to be overwritten, so recovery is safe — and losing
+/// the whole suite to a poisoned mutex is exactly the failure mode this
+/// driver exists to prevent.
 fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The last-resort isolation boundary: run `f`, turning a panic into a
+/// [`FailStage::Driver`] / [`FailCause::Panic`] failure of `app` (in
+/// `mode`, when the failure belongs to one cell).
+pub(crate) fn isolate<T>(
+    app: &str,
+    mode: Option<InlineMode>,
+    f: impl FnOnce() -> Result<T, PipelineError>,
+) -> Result<T, PipelineError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(PipelineError {
+            app: app.to_string(),
+            mode,
+            stage: FailStage::Driver,
+            cause: FailCause::Panic(panic_message(&*payload)),
+        })
+    })
+}
+
+/// One interpreter run behind the isolation boundary. Budget exhaustion
+/// is an op-budget timeout, any other runtime error a runtime rejection,
+/// and a panic stays a panic: it says nothing deterministic about the
+/// program, so it is never cached or replayed as a runtime verdict.
+pub(crate) fn guard_run<T>(
+    max_ops: u64,
+    run: impl FnOnce() -> Result<T, fruntime::RtError>,
+) -> Result<T, FailCause> {
+    match catch_unwind(AssertUnwindSafe(run)) {
+        Ok(out) => out.map_err(|e| FailCause::from_rt(e, max_ops)),
+        Err(payload) => Err(FailCause::Panic(panic_message(&*payload))),
+    }
+}
+
+/// The cell evaluator — the one place a (job × configuration) cell is
+/// compiled, verified and scored, behind [`run_suite`],
+/// [`crate::stream::run_stream`], [`crate::tournament::run_tournament`]
+/// and the daemon's [`crate::service`] requests.
+///
+/// Compiles `job` under `cfg`, takes the original program's baseline run
+/// from `memo` (running it on first use), verifies the optimized program
+/// against it — shared through `memo` with every cell of the job that
+/// emitted byte-identical source — and simulates each of
+/// [`DriverOptions::machines`]. Budgets: every interpreter run gets
+/// [`DriverOptions::verify_max_ops`]; `deadline` is checked after the
+/// compile, baseline and verify stages. Never panics: any fault, a panic
+/// included, comes back as a classified [`PipelineError`].
+pub fn evaluate_cell(
+    job: &SuiteJob,
+    cfg: &CellConfig,
+    opts: &DriverOptions,
+    deadline: WallDeadline,
+    memo: &JobMemo,
+) -> Result<CellDone, PipelineError> {
+    isolate(&job.name, Some(cfg.mode()), || {
+        evaluate_cell_inner(job, cfg, opts, deadline, memo)
+    })
+}
+
+fn evaluate_cell_inner(
+    job: &SuiteJob,
+    cfg: &CellConfig,
+    opts: &DriverOptions,
+    deadline: WallDeadline,
+    memo: &JobMemo,
+) -> Result<CellDone, PipelineError> {
+    let mode = cfg.mode();
+    let max_ops = opts.verify_max_ops;
+    let fail = |stage, cause| PipelineError::in_cell(&job.name, mode, stage, cause);
+    // A cell that finished a stage but blew the wall budget doing so is
+    // still reported as a timeout — that is what a deadline means to a
+    // caller holding a per-request budget (the computed result is
+    // discarded with the error).
+    let checkpoint = |stage| {
+        if deadline.expired() {
+            Err(fail(stage, deadline.cause(max_ops)))
+        } else {
+            Ok(())
+        }
+    };
+
+    if opts.inject_panic.iter().any(|n| n == &job.name) {
+        panic!("injected fault for {}", job.name);
+    }
+
+    let mut timings = PhaseTimings::default();
+    let result = compile_timed(&job.program, &job.registry, &cfg.opts, &mut timings)
+        .map_err(|d| fail(FailStage::Compile, FailCause::Diag(d)))?;
+    checkpoint(FailStage::Compile)?;
+
+    let base_opts = ExecOptions {
+        max_ops,
+        engine: opts.engine,
+        ..Default::default()
+    };
+    let par_opts = ExecOptions {
+        threads: opts.effective_verify_threads(),
+        ..base_opts.clone()
+    };
+    let mut cell_runs = 0u64;
+    let mut pay = |runs: u64| {
+        cell_runs += runs;
+        memo.interp_runs.fetch_add(runs, Ordering::Relaxed);
+    };
+    let mut verify_cached = false;
+    let verify = timings.time(Phase::Verify, || {
+        if memo.baseline.get().is_some() {
+            memo.memo_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        let base = memo
+            .baseline
+            .get_or_init(|| {
+                pay(1);
+                guard_run(max_ops, || baseline_run_with(&job.program, &base_opts))
+            })
+            .as_ref()
+            .map_err(|cause| fail(FailStage::Baseline, cause.clone()))?;
+        checkpoint(FailStage::Baseline)?;
+
+        let slot = lock_clean(&memo.verified)
+            .entry(source_key(&result.source))
+            .or_default()
+            .clone();
+        let mut paid = false;
+        let verified = slot
+            .get_or_init(|| {
+                paid = true;
+                pay(2);
+                guard_run(max_ops, || {
+                    verify_with_baseline_using(base, &result.program, &par_opts).map(Arc::new)
+                })
+            })
+            .clone();
+        if !paid {
+            verify_cached = true;
+            memo.cache_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        verified.map_err(|cause| fail(FailStage::Verify, cause))
+    })?;
+    checkpoint(FailStage::Verify)?;
+
+    let metrics = CellMetrics {
+        app: job.name.clone(),
+        config: cfg.label.clone(),
+        blockers: blocker_counts(&result),
+        loops_total: result.par_report.decisions.len(),
+        loops_parallel: result.parallel_loops().len(),
+        interp_runs: cell_runs,
+        verify_cached,
+        // Cache-served cells report zero counters so the suite aggregate
+        // counts VM work actually executed, not work saved by dedup.
+        vm: if verify_cached {
+            fruntime::VmCounters::default()
+        } else {
+            verify.vm
+        },
+        autogen: result
+            .autogen
+            .as_ref()
+            .map(|r| crate::phase::AutogenCoverage {
+                auto_sites: r.auto_sites() as u64,
+                manual_sites: r.manual_sites() as u64,
+                refused_sites: r.refused_sites() as u64,
+                derived_subs: r.derived.len() as u64,
+                chain_derived_subs: r.chain_derived.len() as u64,
+                refused_subs: r.refusals.len() as u64,
+            }),
+        phases: timings,
+    };
+    Ok(CellDone {
+        fig20: machine_points(&job.name, &cfg.label, &verify, &opts.machines),
+        result,
+        verify,
+        metrics,
+    })
+}
+
+/// The per-machine score of a verified cell: the §IV-B empirical tuning
+/// step, then the cost-model simulation of the tuned program on each
+/// machine, from the verification's sequential run (no extra interpreter
+/// run). Figure 20 plots these points; tournaments and the daemon score
+/// arms by them.
+fn machine_points(
+    app: &str,
+    config: &str,
+    verify: &VerifyResult,
+    machines: &[Machine],
+) -> Vec<Fig20Point> {
+    machines
+        .iter()
+        .map(|m| {
+            let disabled = tune(&verify.par_events, m);
+            let sim = simulate(verify.total_ops, &verify.par_events, m, &disabled);
+            Fig20Point {
+                app: app.to_string(),
+                config: config.to_string(),
+                machine: m.name.to_string(),
+                speedup: sim.speedup(),
+                tuned_off: disabled.len(),
+            }
+        })
+        .collect()
 }
 
 /// Shared across workers for the duration of one matrix run.
@@ -344,18 +559,14 @@ struct Shared<'a> {
     configs: &'a [CellConfig],
     opts: &'a DriverOptions,
     queue: Mutex<VecDeque<(usize, usize)>>,
-    /// Per-app memoized baseline run of the original program. Failures
-    /// are memoized too: a baseline that cannot run fails all of the
-    /// app's cells with the same diagnostic, paying for one run.
-    baselines: Vec<OnceLock<Arc<Result<RunResult, FailCause>>>>,
-    /// (app, emitted source) → shared verification outcome.
-    vcache: Mutex<VerifyCache>,
+    /// One memo per application, shared by all of its columns.
+    memos: Vec<JobMemo>,
     /// Finished cells, indexed `app * n_configs + config`.
     cells: Vec<Mutex<Option<CellOutcome>>>,
-    interp_runs: AtomicU64,
-    memo_hits: AtomicU64,
-    cache_hits: AtomicU64,
 }
+
+/// One evaluated matrix cell.
+pub(crate) type CellOutcome = Result<CellDone, PipelineError>;
 
 /// The generic matrix run behind [`run_suite`] and
 /// [`crate::tournament::run_tournament`]: per-app, per-config outcomes in
@@ -363,7 +574,7 @@ struct Shared<'a> {
 /// [`SuiteMetrics`] with cache accounting shared across all columns.
 pub(crate) struct MatrixOutcome {
     /// `outcomes[app][config]`, both in input order.
-    pub(crate) cells: Vec<Vec<Result<Box<CellDone>, PipelineError>>>,
+    pub(crate) cells: Vec<Vec<CellOutcome>>,
     /// Aggregated counters, cell metrics, and failure records.
     pub(crate) metrics: SuiteMetrics,
 }
@@ -393,12 +604,8 @@ pub(crate) fn run_matrix(
                 .flat_map(|m| (0..jobs.len()).map(move |a| (a, m)))
                 .collect(),
         ),
-        baselines: (0..jobs.len()).map(|_| OnceLock::new()).collect(),
-        vcache: Mutex::new(HashMap::new()),
+        memos: jobs.iter().map(|_| JobMemo::default()).collect(),
         cells: (0..n_cells).map(|_| Mutex::new(None)).collect(),
-        interp_runs: AtomicU64::new(0),
-        memo_hits: AtomicU64::new(0),
-        cache_hits: AtomicU64::new(0),
     };
 
     let workers = opts.effective_workers().max(1).min(n_cells.max(1));
@@ -456,273 +663,69 @@ pub fn run_app(job: &SuiteJob, opts: &DriverOptions) -> (AppReport, SuiteMetrics
 fn worker_loop(shared: &Shared<'_>) {
     loop {
         let cell = lock_clean(&shared.queue).pop_front();
-        let Some((app_idx, cfg_idx)) = cell else {
+        let Some((app, cfg)) = cell else {
             return;
         };
-        let mode = shared.configs[cfg_idx].mode();
-        // Last-resort isolation boundary: `evaluate_cell` is panic-free
-        // for every fault we know how to classify; anything that still
-        // unwinds costs this one cell, not the worker or the suite.
-        let outcome = catch_unwind(AssertUnwindSafe(|| evaluate_cell(shared, app_idx, cfg_idx)))
-            .unwrap_or_else(|payload| {
-                CellOutcome::Failed(PipelineError::in_cell(
-                    shared.jobs[app_idx].name.clone(),
-                    mode,
-                    FailStage::Driver,
-                    FailCause::Panic(panic_message(&*payload)),
-                ))
-            });
-        *lock_clean(&shared.cells[app_idx * shared.configs.len() + cfg_idx]) = Some(outcome);
+        let outcome = evaluate_cell(
+            &shared.jobs[app],
+            &shared.configs[cfg],
+            shared.opts,
+            WallDeadline::start(shared.opts.wall_budget_ms),
+            &shared.memos[app],
+        );
+        *lock_clean(&shared.cells[app * shared.configs.len() + cfg]) = Some(outcome);
     }
-}
-
-fn evaluate_cell(shared: &Shared<'_>, app_idx: usize, cfg_idx: usize) -> CellOutcome {
-    match evaluate_cell_inner(shared, app_idx, cfg_idx) {
-        Ok(done) => CellOutcome::Done(done),
-        Err(e) => CellOutcome::Failed(e),
-    }
-}
-
-fn evaluate_cell_inner(
-    shared: &Shared<'_>,
-    app_idx: usize,
-    cfg_idx: usize,
-) -> Result<Box<CellDone>, PipelineError> {
-    let job = &shared.jobs[app_idx];
-    let cfg = &shared.configs[cfg_idx];
-    let mode = cfg.mode();
-    let opts = shared.opts;
-    let mut timings = PhaseTimings::default();
-    let deadline = WallDeadline::start(opts.wall_budget_ms);
-    let check_deadline = |stage: FailStage| -> Result<(), PipelineError> {
-        if deadline.expired() {
-            Err(PipelineError::in_cell(
-                &job.name,
-                mode,
-                stage,
-                deadline.cause(opts.verify_max_ops),
-            ))
-        } else {
-            Ok(())
-        }
-    };
-
-    if opts.inject_panic.iter().any(|n| n == &job.name) {
-        panic!("injected fault for {}", job.name);
-    }
-
-    let result =
-        compile_timed(&job.program, &job.registry, &cfg.opts, &mut timings).map_err(|d| {
-            PipelineError::in_cell(&job.name, mode, FailStage::Compile, FailCause::Diag(d))
-        })?;
-    check_deadline(FailStage::Compile)?;
-
-    let max_ops = opts.verify_max_ops;
-    let base_opts = ExecOptions {
-        max_ops,
-        engine: opts.engine,
-        ..Default::default()
-    };
-    let par_opts = ExecOptions {
-        threads: opts.effective_verify_threads(),
-        max_ops,
-        engine: opts.engine,
-        ..Default::default()
-    };
-
-    let mut cell_runs = 0u64;
-    let mut verify_cached = false;
-    let verify: Result<Arc<VerifyResult>, PipelineError> = timings.time(Phase::Verify, || {
-        // Gate 1 baseline: the original program's run, memoized per app.
-        // The run is guarded: an `Err` or a panic is memoized as the
-        // app-wide baseline failure, never a poisoned `OnceLock`.
-        let run_baseline = |runs: &mut u64| -> Arc<Result<RunResult, FailCause>> {
-            shared.interp_runs.fetch_add(1, Ordering::Relaxed);
-            *runs += 1;
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                baseline_run_with(&job.program, &base_opts)
-            }));
-            Arc::new(match out {
-                Ok(Ok(r)) => Ok(r),
-                Ok(Err(e)) if e.is_budget() => Err(FailCause::Timeout {
-                    max_ops,
-                    wall_ms: 0,
-                }),
-                Ok(Err(e)) => Err(FailCause::Runtime(e)),
-                Err(payload) => Err(FailCause::Panic(panic_message(&*payload))),
-            })
-        };
-        let base: Arc<Result<RunResult, FailCause>> = if opts.baseline_memo {
-            if shared.baselines[app_idx].get().is_some() {
-                shared.memo_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            shared.baselines[app_idx]
-                .get_or_init(|| run_baseline(&mut cell_runs))
-                .clone()
-        } else {
-            run_baseline(&mut cell_runs)
-        };
-        let base = match &*base {
-            Ok(r) => r,
-            Err(cause) => {
-                return Err(PipelineError::in_cell(
-                    &job.name,
-                    mode,
-                    FailStage::Baseline,
-                    cause.clone(),
-                ))
-            }
-        };
-        check_deadline(FailStage::Baseline)?;
-
-        let run_verify = |runs: &mut u64| -> Result<Arc<VerifyResult>, FailCause> {
-            shared.interp_runs.fetch_add(2, Ordering::Relaxed);
-            *runs += 2;
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                verify_with_baseline_using(base, &result.program, &par_opts)
-            }));
-            match out {
-                Ok(Ok(v)) => Ok(Arc::new(v)),
-                Ok(Err(e)) if e.is_budget() => Err(FailCause::Timeout {
-                    max_ops,
-                    wall_ms: 0,
-                }),
-                Ok(Err(e)) => Err(FailCause::Runtime(e)),
-                Err(payload) => Err(FailCause::Panic(panic_message(&*payload))),
-            }
-        };
-
-        let verified = if opts.verify_cache {
-            // Byte-identical emitted source ⇒ identical verification (the
-            // baseline is fixed per app, the interpreter deterministic) —
-            // identical failures included.
-            let slot = {
-                let mut map = lock_clean(&shared.vcache);
-                map.entry((app_idx, source_key(&result.source)))
-                    .or_insert_with(|| Arc::new(OnceLock::new()))
-                    .clone()
-            };
-            let mut paid = false;
-            let v = slot
-                .get_or_init(|| {
-                    paid = true;
-                    run_verify(&mut cell_runs)
-                })
-                .clone();
-            if !paid {
-                verify_cached = true;
-                shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            v
-        } else {
-            run_verify(&mut cell_runs)
-        };
-        verified.map_err(|cause| PipelineError::in_cell(&job.name, mode, FailStage::Verify, cause))
-    });
-    let verify = verify?;
-    // A cell that finished its work but blew the wall budget doing so is
-    // still reported as a timeout — that is what a deadline means to a
-    // caller holding a per-request budget (the computed result is
-    // discarded with the error).
-    check_deadline(FailStage::Verify)?;
-
-    // Figure 20: simulate each machine with empirical tuning, from the
-    // verification's sequential run (no extra interpreter run).
-    let mut fig20 = Vec::with_capacity(opts.machines.len());
-    for m in &opts.machines {
-        let disabled = tune(&verify.par_events, m);
-        let sim = simulate(verify.total_ops, &verify.par_events, m, &disabled);
-        fig20.push(Fig20Point {
-            app: job.name.clone(),
-            config: cfg.label.clone(),
-            machine: m.name.to_string(),
-            speedup: sim.speedup(),
-            tuned_off: disabled.len(),
-        });
-    }
-
-    let metrics = CellMetrics {
-        app: job.name.clone(),
-        config: cfg.label.clone(),
-        blockers: blocker_counts(&result),
-        loops_total: result.par_report.decisions.len(),
-        loops_parallel: result.parallel_loops().len(),
-        interp_runs: cell_runs,
-        verify_cached,
-        // Cache-served cells report zero counters so the suite aggregate
-        // counts VM work actually executed, not work saved by dedup.
-        vm: if verify_cached {
-            fruntime::VmCounters::default()
-        } else {
-            verify.vm
-        },
-        autogen: result
-            .autogen
-            .as_ref()
-            .map(|r| crate::phase::AutogenCoverage {
-                auto_sites: r.auto_sites() as u64,
-                manual_sites: r.manual_sites() as u64,
-                refused_sites: r.refused_sites() as u64,
-                derived_subs: r.derived.len() as u64,
-                chain_derived_subs: r.chain_derived.len() as u64,
-                refused_subs: r.refusals.len() as u64,
-            }),
-        phases: timings,
-    };
-
-    Ok(Box::new(CellDone {
-        result,
-        verify: (*verify).clone(),
-        fig20,
-        metrics,
-    }))
 }
 
 /// Fold a finished matrix into per-app outcome rows plus the aggregated
 /// metrics, in deterministic (input × portfolio) order.
 fn collect(shared: Shared<'_>, workers: usize, wall: std::time::Duration) -> MatrixOutcome {
+    let sum = |counter: fn(&JobMemo) -> &AtomicU64| -> u64 {
+        shared
+            .memos
+            .iter()
+            .map(|m| counter(m).load(Ordering::Relaxed))
+            .sum()
+    };
     let mut metrics = SuiteMetrics {
         workers,
         configs: shared.configs.len() as u64,
         wall_nanos: wall.as_nanos() as u64,
-        interp_runs: shared.interp_runs.load(Ordering::Relaxed),
-        baseline_memo_hits: shared.memo_hits.load(Ordering::Relaxed),
-        verify_cache_hits: shared.cache_hits.load(Ordering::Relaxed),
+        interp_runs: sum(|m| &m.interp_runs),
+        baseline_memo_hits: sum(|m| &m.memo_hits),
+        verify_cache_hits: sum(|m| &m.cache_hits),
         ..Default::default()
     };
 
-    let n_configs = shared.configs.len();
-    let mut out = Vec::with_capacity(shared.jobs.len());
     let mut cells = shared.cells.into_iter();
-    for job in shared.jobs.iter() {
-        let mut row: Vec<Result<Box<CellDone>, PipelineError>> = Vec::with_capacity(n_configs);
-        for cfg in shared.configs.iter() {
+    let mut out = Vec::with_capacity(shared.jobs.len());
+    for job in shared.jobs {
+        let mut row = Vec::with_capacity(shared.configs.len());
+        for cfg in shared.configs {
             // A missing or never-written cell (a worker died outside the
             // isolation boundary) degrades to a recorded failure — it must
             // not compound into a second panic at assembly.
             let outcome = cells
                 .next()
-                .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-                .and_then(|slot| slot)
+                .and_then(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
                 .unwrap_or_else(|| {
-                    CellOutcome::Failed(PipelineError::in_cell(
+                    Err(PipelineError::in_cell(
                         job.name.clone(),
                         cfg.mode(),
                         FailStage::Driver,
                         FailCause::Panic("worker died before completing this cell".into()),
                     ))
                 });
-            match outcome {
-                CellOutcome::Done(done) => {
+            match &outcome {
+                Ok(done) => {
                     metrics.phases.merge(&done.metrics.phases);
                     metrics.vm.absorb(&done.metrics.vm);
                     metrics.cells.push(done.metrics.clone());
                     if done.verify.ok() {
                         metrics.verified_ok += 1;
                     }
-                    row.push(Ok(done));
                 }
-                CellOutcome::Failed(e) => {
+                Err(e) => {
                     metrics.failed_cells += 1;
                     if e.is_timeout() {
                         metrics.timed_out_cells += 1;
@@ -730,10 +733,10 @@ fn collect(shared: Shared<'_>, workers: usize, wall: std::time::Duration) -> Mat
                     if matches!(e.cause, FailCause::Panic(_)) {
                         metrics.panicked_cells += 1;
                     }
-                    metrics.failures.push(FailureRecord::from_error(&e));
-                    row.push(Err(e));
+                    metrics.failures.push(FailureRecord::from_error(e));
                 }
             }
+            row.push(outcome);
         }
         out.push(row);
     }
@@ -759,15 +762,16 @@ fn assemble(
         let mut failures = Vec::new();
         for (cfg, outcome) in configs.iter().zip(row) {
             match outcome {
-                Ok(done) => {
-                    let CellDone {
-                        result,
-                        verify,
-                        fig20: points,
-                        ..
-                    } = *done;
+                Ok(CellDone {
+                    result,
+                    verify,
+                    fig20: points,
+                    ..
+                }) => {
                     fig20.extend(points);
-                    verifies.push((cfg.mode(), verify));
+                    if opts.retain_results {
+                        verifies.push((cfg.mode(), Arc::unwrap_or_clone(verify)));
+                    }
                     results.push((cfg.mode(), result));
                 }
                 Err(e) => failures.push(e),
@@ -790,7 +794,6 @@ fn assemble(
         // dropped unless a caller asked to keep them.
         if !opts.retain_results {
             results = Vec::new();
-            verifies = Vec::new();
         }
         apps.push(AppReport {
             name: job.name.clone(),
@@ -843,35 +846,37 @@ mod tests {
 ";
 
     #[test]
-    fn baseline_memo_counts_runs_nine_not_twelve() {
+    fn baseline_memo_and_verify_dedup_cut_runs_below_three_per_cell() {
+        // Uncached, every cell pays 3 interpreter runs: the baseline plus
+        // the sequential and threaded verification runs.
+        let uncached = 3 * InlineMode::all().len() as u64;
         let j = job("T", SRC, "");
-        let memo = DriverOptions {
-            workers: 1,
-            ..Default::default()
-        };
-        let (_, m) = run_app(&j, &memo);
-        // 1 baseline + 4 × (seq + par)… minus verify-cache dedup: all four
-        // modes of this program emit identical source, so runs collapse
-        // further. Disable the cache to see the memo's 9 alone.
-        let memo_only = DriverOptions {
-            workers: 1,
-            verify_cache: false,
-            ..Default::default()
-        };
-        let (_, m2) = run_app(&j, &memo_only);
-        assert_eq!(m2.interp_runs, 9, "{m2:?}");
-        assert_eq!(m2.baseline_memo_hits, 3);
-        assert!(m.interp_runs <= m2.interp_runs);
-
-        let serial = DriverOptions {
-            workers: 1,
-            baseline_memo: false,
-            verify_cache: false,
-            ..Default::default()
-        };
-        let (_, m3) = run_app(&j, &serial);
-        assert_eq!(m3.interp_runs, 12, "{m3:?}");
-        assert_eq!(m3.baseline_memo_hits, 0);
+        let (_, m) = run_app(
+            &j,
+            &DriverOptions {
+                workers: 1,
+                ..Default::default()
+            },
+        );
+        // The app's four cells share one baseline run (three memo hits),
+        // and all four modes of this call-free program emit the same
+        // source, so one verification serves them all (three dedup hits).
+        assert_eq!(m.baseline_memo_hits, 3, "{m:?}");
+        assert_eq!(m.verify_cache_hits, 3, "{m:?}");
+        assert_eq!(m.interp_runs, 1 + 2, "{m:?}");
+        assert_eq!(
+            m.interp_runs + m.baseline_memo_hits + 2 * m.verify_cache_hits,
+            uncached
+        );
+        // A one-cell matrix shares nothing: it pays the uncached bill.
+        let alone = run_matrix(
+            std::slice::from_ref(&j),
+            &[CellConfig::for_mode(InlineMode::None)],
+            &DriverOptions::default(),
+        );
+        assert_eq!(alone.metrics.interp_runs, 3);
+        assert_eq!(alone.metrics.baseline_memo_hits, 0);
+        assert_eq!(alone.metrics.verify_cache_hits, 0);
     }
 
     #[test]
@@ -1024,8 +1029,7 @@ mod tests {
     fn wall_clock_deadline_degrades_to_timeout() {
         // Enough interpreter work (~1M ops) that the baseline run alone
         // takes well over the 1 ms wall budget on any host, so every cell
-        // hits a deadline checkpoint. Memo and cache are off so no cell
-        // is served instantly from a shared slot.
+        // hits a deadline checkpoint.
         let src = "      PROGRAM MAIN
       COMMON /OUT/ A(5000), TOT
       DO J = 1, 40
@@ -1040,26 +1044,29 @@ mod tests {
       WRITE(6,*) TOT
       END
 ";
-        let j = job("W", src, "");
         let opts = DriverOptions {
             workers: 1,
             wall_budget_ms: 1,
-            baseline_memo: false,
-            verify_cache: false,
             ..Default::default()
         };
-        let (report, metrics) = run_app(&j, &opts);
-        assert!(!report.ok());
-        assert_eq!(metrics.failed_cells, 4);
-        assert_eq!(metrics.timed_out_cells, 4);
-        for f in &report.failures {
-            assert!(f.is_timeout(), "{f}");
+        // One distinct job per mode, each its own one-cell matrix: no
+        // cell shares a baseline or a verification with another, so every
+        // cell pays its own runs against the budget.
+        for mode in InlineMode::all() {
+            let j = job(&format!("W-{}", mode.label()), src, "");
+            let mx = run_matrix(&[j], &[CellConfig::for_mode(mode)], &opts);
+            assert_eq!(mx.metrics.failed_cells, 1, "{mode:?}");
+            assert_eq!(mx.metrics.timed_out_cells, 1, "{mode:?}");
+            let Err(f) = &mx.cells[0][0] else {
+                panic!("{mode:?} cell beat a 1 ms budget");
+            };
             assert!(
                 matches!(f.cause, FailCause::Timeout { wall_ms: 1, .. }),
                 "expected a wall-clock timeout, got {f:?}"
             );
             assert!(f.cause_message().contains("wall-clock"), "{f}");
         }
+        let j = job("W", src, "");
         // wall_budget_ms = 0 is unlimited: the same job completes.
         let (ok_report, _) = run_app(
             &j,
@@ -1084,6 +1091,35 @@ mod tests {
                 wall_ms: 1
             }
         ));
+    }
+
+    #[test]
+    fn guarded_run_classifies_a_panic_as_a_panic() {
+        let cause = guard_run(10, || -> Result<(), fruntime::RtError> {
+            panic!("interpreter invariant broken")
+        })
+        .unwrap_err();
+        let e = PipelineError::in_cell("P", InlineMode::None, FailStage::Verify, cause);
+        assert_eq!(e.code(), "panic", "{e}");
+        assert!(e.cause_message().contains("invariant"), "{e}");
+        // A panic says nothing deterministic about the program: it must
+        // never be replayed from the daemon's request cache.
+        assert!(!crate::service::RequestCache::cacheable(&Err(e)));
+        // Runtime errors keep their classification.
+        let budget = guard_run(10, || -> Result<(), fruntime::RtError> {
+            Err(fruntime::RtError {
+                message: "op budget exhausted".into(),
+                kind: fruntime::RtErrorKind::Budget,
+                ops: None,
+            })
+        });
+        assert_eq!(
+            budget.unwrap_err(),
+            FailCause::Timeout {
+                max_ops: 10,
+                wall_ms: 0
+            }
+        );
     }
 
     #[test]

@@ -88,6 +88,19 @@ impl FailCause {
 
     /// Every code [`FailCause::code`] can return, in declaration order.
     pub const CODES: [&'static str; 4] = ["diag", "runtime", "timeout", "panic"];
+
+    /// Classify a runtime-tester error: budget exhaustion is a timeout
+    /// against the given op budget, anything else a runtime rejection.
+    pub fn from_rt(e: RtError, max_ops: u64) -> FailCause {
+        if e.is_budget() {
+            FailCause::Timeout {
+                max_ops,
+                wall_ms: 0,
+            }
+        } else {
+            FailCause::Runtime(e)
+        }
+    }
 }
 
 /// One failed (application × configuration) cell, with full context.
@@ -128,26 +141,6 @@ impl PipelineError {
             stage,
             cause,
         }
-    }
-
-    /// Map a runtime-tester error, classifying budget exhaustion as a
-    /// timeout against the given op budget.
-    pub fn from_rt(
-        app: impl Into<String>,
-        mode: InlineMode,
-        stage: FailStage,
-        e: RtError,
-        max_ops: u64,
-    ) -> Self {
-        let cause = if e.is_budget() {
-            FailCause::Timeout {
-                max_ops,
-                wall_ms: 0,
-            }
-        } else {
-            FailCause::Runtime(e)
-        };
-        PipelineError::in_cell(app, mode, stage, cause)
     }
 
     /// True when the failure is a deadline, not a hard error.
@@ -234,7 +227,12 @@ mod tests {
             kind: fruntime::RtErrorKind::Budget,
             ops: None,
         };
-        let e = PipelineError::from_rt("X", InlineMode::None, FailStage::Verify, rt, 500);
+        let e = PipelineError::in_cell(
+            "X",
+            InlineMode::None,
+            FailStage::Verify,
+            FailCause::from_rt(rt, 500),
+        );
         assert!(e.is_timeout());
         assert!(e.cause_message().contains("500"));
     }

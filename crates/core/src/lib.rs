@@ -14,11 +14,12 @@
 //!   rules;
 //! * [`verify`](mod@verify) — the runtime testers: original ≡ optimized,
 //!   sequential ≡ threaded, and no cross-iteration races;
-//! * [`driver`] — the concurrent, cached evaluation driver: a worker pool
-//!   over the application × configuration matrix, a per-app baseline-run
-//!   memo (one reference run shared by all four configurations), a
-//!   verify-dedup cache, and per-phase observability ([`phase`]) rolled
-//!   into a [`phase::SuiteMetrics`] JSON report;
+//! * [`driver`] — the concurrent, cached evaluation driver: the one cell
+//!   evaluator ([`driver::evaluate_cell`]) every surface below shares, a
+//!   worker pool over the application × configuration matrix, a per-app
+//!   baseline-run memo (one reference run shared by all four
+//!   configurations), a verify-dedup cache, and per-phase observability
+//!   ([`phase`]) rolled into a [`phase::SuiteMetrics`] JSON report;
 //! * [`stream::run_stream`] — the corpus-scale path: bounded-memory
 //!   streaming evaluation of an unbounded job iterator, aggregating a
 //!   deterministic [`stream::StreamSummary`] instead of retaining
@@ -29,9 +30,10 @@
 //!   with the machine cost model, and report the winner with a
 //!   structured "why" record;
 //! * [`service`] — the per-request surface for the daemon front-end
-//!   (`crates/server`): [`service::evaluate_request`], the bounded
-//!   cross-request [`service::RequestCache`], and the daemon-wide
-//!   [`service::ServerMetrics`] report.
+//!   (`crates/server`): [`service::evaluate_request`] and
+//!   [`service::evaluate_tournament`] (the driver's evaluator on one
+//!   parsed request), the bounded cross-request [`service::RequestCache`],
+//!   and the daemon-wide [`service::ServerMetrics`] report.
 //!
 //! ## Quick example
 //!

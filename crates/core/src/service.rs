@@ -7,12 +7,16 @@
 //! sharing caches *across* requests instead of within one run. This
 //! module is that per-request surface:
 //!
-//! * [`evaluate_request`] — parse → compile → verify for a single
-//!   (source, annotations, mode) triple, reusing the driver's budget
-//!   machinery ([`DriverOptions::verify_max_ops`],
+//! * [`evaluate_request`] — parse a (source, annotations, mode) triple
+//!   into a job and evaluate the one cell with the driver's cell
+//!   evaluator ([`crate::driver::evaluate_cell`]) on the calling thread:
+//!   the driver's budgets ([`DriverOptions::verify_max_ops`],
 //!   [`DriverOptions::wall_budget_ms`], [`WallDeadline`]) and its fault
 //!   classification ([`PipelineError`]); every failure mode, panics
 //!   included, comes back as a structured error;
+//! * [`evaluate_tournament`] — the [`portfolio`] over one parsed request,
+//!   arm by arm through the same evaluator with one shared [`JobMemo`],
+//!   judged by the batch tournament's rule;
 //! * [`RequestCache`] — a bounded, content-addressed compile/verify
 //!   cache shared across requests. Keys extend the driver's 128-bit
 //!   FNV-1a source keying over (mode, source, annotations, op budget);
@@ -30,15 +34,15 @@
 //! requests across runs and worker counts, and this is the struct those
 //! responses are rendered from.
 
-use crate::driver::{CellConfig, DriverOptions, WallDeadline};
-use crate::error::{panic_message, FailCause, FailStage, PipelineError};
-use crate::phase::{blocker_key, quote, PhaseTimings};
-use crate::pipeline::{compile_timed, InlineMode, PipelineOptions};
-use crate::tournament::{default_machines, geomean_micros, portfolio, MachineScore};
-use crate::verify::{baseline_run_with, verify_with_baseline_using, VerifyResult};
-use fruntime::{simulate, tune, ExecOptions};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use crate::driver::{
+    evaluate_cell, isolate, source_key, CellConfig, CellDone, DriverOptions, JobMemo, SuiteJob,
+    WallDeadline,
+};
+use crate::error::{FailCause, FailStage, PipelineError};
+use crate::phase::{blocker_key, quote};
+use crate::pipeline::InlineMode;
+use crate::tournament::{arm_score, default_machines, judge, portfolio, MachineScore};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// One loop's decision in a [`RequestReport`] — the Table-II-style
@@ -96,20 +100,16 @@ impl RequestReport {
     }
 
     /// Tournament score: geometric mean of the per-machine speedups,
-    /// micro-units ([`geomean_micros`]).
+    /// micro-units ([`crate::tournament::geomean_micros`]).
     pub fn score_micros(&self) -> u64 {
-        geomean_micros(
-            &self
-                .speedups
-                .iter()
-                .map(|s| s.speedup_micros as f64 / 1e6)
-                .collect::<Vec<f64>>(),
-        )
+        arm_score(&self.speedups)
     }
 }
 
-/// Evaluate one service request: parse both texts, compile under `mode`,
-/// run the baseline and the verification with the driver's budgets.
+/// Evaluate one service request: parse both texts and evaluate the one
+/// (program × `mode`) cell with the driver's evaluator
+/// ([`crate::driver::evaluate_cell`]) on the calling thread, under the
+/// driver's budgets.
 ///
 /// Reuses from [`DriverOptions`]: `verify_max_ops` (per-run op budget,
 /// expiry → [`FailCause::Timeout`]), `wall_budget_ms` (per-request
@@ -117,11 +117,12 @@ impl RequestReport {
 /// boundary), `engine`, `effective_verify_threads`, and the
 /// `inject_panic` chaos seam (a request whose `name` is listed panics
 /// deliberately, exercising the isolation boundary under live traffic).
+/// The speedups are always scored on [`default_machines`].
 ///
-/// Never panics: every stage runs behind `catch_unwind` (directly here
-/// for the interpreter runs, via the pipeline's per-stage wrappers for
-/// compilation), so a hostile request degrades to an `Err` and the
-/// calling worker lives on.
+/// Never panics: parsing and the cell each run behind the isolation
+/// boundary, so a hostile request degrades to an `Err` — classified
+/// exactly as the driver classifies a failed cell — and the calling
+/// worker lives on.
 pub fn evaluate_request(
     name: &str,
     source: &str,
@@ -134,11 +135,11 @@ pub fn evaluate_request(
 
 /// [`evaluate_request`], also reporting the VM execution counters of the
 /// verification runs this request actually paid for (zeros when the
-/// request failed before verification, or under the tree-walker). The
-/// counters ride outside the report so [`RequestReport`] stays a pure,
-/// cache-safe function of the request content — a cache-serving caller
-/// absorbs them on misses only, the same "zeros when cache-served"
-/// discipline as [`crate::phase::CellMetrics`].
+/// request failed, or under the tree-walker). The counters ride outside
+/// the report so [`RequestReport`] stays a pure, cache-safe function of
+/// the request content — a cache-serving caller absorbs them on misses
+/// only, the same "zeros when cache-served" discipline as
+/// [`crate::phase::CellMetrics`].
 pub fn evaluate_request_metered(
     name: &str,
     source: &str,
@@ -146,134 +147,65 @@ pub fn evaluate_request_metered(
     mode: InlineMode,
     opts: &DriverOptions,
 ) -> (Result<RequestReport, PipelineError>, fruntime::VmCounters) {
-    let mut vm = fruntime::VmCounters::default();
-    let out = catch_unwind(AssertUnwindSafe(|| {
-        evaluate_request_inner(name, source, annotations, mode, opts, &mut vm)
-    }));
-    let report = out.unwrap_or_else(|payload| {
-        Err(PipelineError::in_cell(
-            name,
-            mode,
-            FailStage::Driver,
-            FailCause::Panic(panic_message(&*payload)),
-        ))
+    let deadline = WallDeadline::start(opts.wall_budget_ms);
+    let done = parse_job(name, source, annotations, Some(mode)).and_then(|job| {
+        evaluate_cell(
+            &job,
+            &CellConfig::for_mode(mode),
+            &scored(opts),
+            deadline,
+            &JobMemo::default(),
+        )
     });
-    (report, vm)
+    match done {
+        Ok(done) => (Ok(report_from(mode, &done)), done.metrics.vm),
+        Err(e) => (Err(e), fruntime::VmCounters::default()),
+    }
 }
 
-/// Parse the request's two texts. Mode-independent, so a tournament
-/// parses once and shares the result across every arm.
-fn parse_request(
+/// The request's options with the machines every service report is
+/// scored on.
+fn scored(opts: &DriverOptions) -> DriverOptions {
+    DriverOptions {
+        machines: default_machines(),
+        ..opts.clone()
+    }
+}
+
+/// Parse the request's two texts into a driver job. Mode-independent, so
+/// a tournament parses once and shares the job across every arm.
+fn parse_job(
     name: &str,
     source: &str,
     annotations: &str,
-) -> Result<(fir::ast::Program, finline::annot::AnnotRegistry), PipelineError> {
-    let program = fir::parse(source)
-        .map_err(|d| PipelineError::pre_pipeline(name, FailStage::Parse, FailCause::Diag(d)))?;
-    let registry = if annotations.trim().is_empty() {
-        finline::annot::AnnotRegistry::default()
-    } else {
-        finline::annot::AnnotRegistry::parse(annotations).map_err(|d| {
-            PipelineError::pre_pipeline(name, FailStage::Annotations, FailCause::Diag(d))
-        })?
-    };
-    Ok((program, registry))
-}
-
-/// Run the original program behind the isolation boundary. The baseline
-/// is configuration-independent; a tournament runs it once per request.
-fn baseline_guarded(
-    name: &str,
-    mode: InlineMode,
-    program: &fir::ast::Program,
-    opts: &DriverOptions,
-) -> Result<fruntime::RunResult, PipelineError> {
-    let max_ops = opts.verify_max_ops;
-    let base_opts = ExecOptions {
-        max_ops,
-        engine: opts.engine,
-        ..Default::default()
-    };
-    catch_unwind(AssertUnwindSafe(|| baseline_run_with(program, &base_opts)))
-        .unwrap_or_else(|p| {
-            Err(fruntime::RtError {
-                message: panic_message(&*p),
-                kind: fruntime::RtErrorKind::General,
-                ops: None,
-            })
-        })
-        .map_err(|e| {
-            if e.is_budget() {
-                PipelineError::in_cell(
-                    name,
-                    mode,
-                    FailStage::Baseline,
-                    FailCause::Timeout {
-                        max_ops,
-                        wall_ms: 0,
-                    },
-                )
-            } else {
-                PipelineError::in_cell(name, mode, FailStage::Baseline, FailCause::Runtime(e))
-            }
-        })
-}
-
-/// Verify an optimized program against the shared baseline behind the
-/// isolation boundary.
-fn verify_guarded(
-    name: &str,
-    mode: InlineMode,
-    base: &fruntime::RunResult,
-    optimized: &fir::ast::Program,
-    opts: &DriverOptions,
-) -> Result<VerifyResult, PipelineError> {
-    let max_ops = opts.verify_max_ops;
-    let par_opts = ExecOptions {
-        threads: opts.effective_verify_threads(),
-        max_ops,
-        engine: opts.engine,
-        ..Default::default()
-    };
-    catch_unwind(AssertUnwindSafe(|| {
-        verify_with_baseline_using(base, optimized, &par_opts)
-    }))
-    .unwrap_or_else(|p| {
-        Err(fruntime::RtError {
-            message: panic_message(&*p),
-            kind: fruntime::RtErrorKind::General,
-            ops: None,
-        })
-    })
-    .map_err(|e| {
-        if e.is_budget() {
-            PipelineError::in_cell(
-                name,
-                mode,
-                FailStage::Verify,
-                FailCause::Timeout {
-                    max_ops,
-                    wall_ms: 0,
-                },
-            )
+    mode: Option<InlineMode>,
+) -> Result<SuiteJob, PipelineError> {
+    isolate(name, mode, || {
+        let program = fir::parse(source)
+            .map_err(|d| PipelineError::pre_pipeline(name, FailStage::Parse, FailCause::Diag(d)))?;
+        let registry = if annotations.trim().is_empty() {
+            finline::annot::AnnotRegistry::default()
         } else {
-            PipelineError::in_cell(name, mode, FailStage::Verify, FailCause::Runtime(e))
-        }
+            finline::annot::AnnotRegistry::parse(annotations).map_err(|d| {
+                PipelineError::pre_pipeline(name, FailStage::Annotations, FailCause::Diag(d))
+            })?
+        };
+        Ok(SuiteJob {
+            name: name.to_string(),
+            program,
+            registry,
+        })
     })
 }
 
-/// Build the deterministic report from a compiled + verified arm.
-fn report_from(
-    mode: InlineMode,
-    result: &crate::pipeline::PipelineResult,
-    verify: &VerifyResult,
-) -> RequestReport {
+/// Build the deterministic report from an evaluated cell.
+fn report_from(mode: InlineMode, done: &CellDone) -> RequestReport {
+    let (result, verify) = (&done.result, &done.verify);
     // Per-loop verdicts: aggregate the planner's decisions per distinct
     // original loop (annotation-body copies excluded), blockers deduped
     // into sorted stable keys — a deterministic, wire-friendly shape.
     let parallel_ids = result.parallel_loops();
-    let mut by_loop: BTreeMap<(String, u32), std::collections::BTreeSet<&'static str>> =
-        BTreeMap::new();
+    let mut by_loop: BTreeMap<(String, u32), BTreeSet<&'static str>> = BTreeMap::new();
     for d in &result.par_report.decisions {
         if d.id.is_annotation() {
             continue;
@@ -293,18 +225,6 @@ fn report_from(
         })
         .collect();
     let loops_parallel = loops.iter().filter(|l| l.parallel).count();
-    let speedups: Vec<MachineScore> = default_machines()
-        .iter()
-        .map(|m| {
-            let disabled = tune(&verify.par_events, m);
-            let sim = simulate(verify.total_ops, &verify.par_events, m, &disabled);
-            MachineScore {
-                machine: m.name.to_string(),
-                speedup_micros: (sim.speedup() * 1e6).round() as u64,
-                tuned_off: disabled.len(),
-            }
-        })
-        .collect();
 
     RequestReport {
         mode,
@@ -315,59 +235,9 @@ fn report_from(
         total_ops: verify.total_ops,
         loops,
         loops_parallel,
-        speedups,
-        source_key: crate::driver::source_key(&result.source),
+        speedups: done.fig20.iter().map(MachineScore::of).collect(),
+        source_key: source_key(&result.source),
     }
-}
-
-fn evaluate_request_inner(
-    name: &str,
-    source: &str,
-    annotations: &str,
-    mode: InlineMode,
-    opts: &DriverOptions,
-    vm: &mut fruntime::VmCounters,
-) -> Result<RequestReport, PipelineError> {
-    let deadline = WallDeadline::start(opts.wall_budget_ms);
-    let max_ops = opts.verify_max_ops;
-    let check = |stage: FailStage| -> Result<(), PipelineError> {
-        if deadline.expired() {
-            Err(PipelineError::in_cell(
-                name,
-                mode,
-                stage,
-                deadline.cause(max_ops),
-            ))
-        } else {
-            Ok(())
-        }
-    };
-
-    if opts.inject_panic.iter().any(|n| n == name) {
-        panic!("injected fault for {name}");
-    }
-
-    let (program, registry) = parse_request(name, source, annotations)?;
-    check(FailStage::Parse)?;
-
-    let mut timings = PhaseTimings::default();
-    let result = compile_timed(
-        &program,
-        &registry,
-        &PipelineOptions::for_mode(mode),
-        &mut timings,
-    )
-    .map_err(|d| PipelineError::in_cell(name, mode, FailStage::Compile, FailCause::Diag(d)))?;
-    check(FailStage::Compile)?;
-
-    let base = baseline_guarded(name, mode, &program, opts)?;
-    check(FailStage::Baseline)?;
-
-    let verify = verify_guarded(name, mode, &base, &result.program, opts)?;
-    check(FailStage::Verify)?;
-    vm.absorb(&verify.vm);
-
-    Ok(report_from(mode, &result, &verify))
 }
 
 /// Content address for a request: 128-bit FNV-1a over the mode label,
@@ -445,15 +315,18 @@ pub struct TournamentReport {
     pub arms: Vec<ArmSummary>,
 }
 
-/// Evaluate a portfolio tournament for one request: every arm of
-/// [`DriverOptions::arms`] (or the default [`portfolio`]) compiled and
-/// verified against a *shared* parse and baseline run, with intra-request
-/// verify dedup (arms emitting byte-identical source share one
-/// verification) and per-arm [`RequestCache`] sharing via [`arm_key`] —
-/// the service counterpart of [`crate::tournament::run_tournament`]'s
-/// cache discipline.
+/// Evaluate a portfolio tournament for one request: the request is
+/// parsed once, then every [`portfolio`] arm is evaluated on the calling
+/// thread by the driver's evaluator, the arms sharing one lazily computed
+/// baseline run and one verify-dedup map (a [`JobMemo`]; arms emitting
+/// byte-identical source share one verification). Each arm is first
+/// looked up in, and afterwards offered to, the [`RequestCache`] under
+/// its [`arm_key`], so a tournament whose arms all hit the cache pays no
+/// interpreter run. The winner and its loop diff come from the batch
+/// tournament's rule ([`crate::tournament::run_tournament`]).
 ///
-/// Budgets: one [`WallDeadline`] spans the whole tournament; each
+/// Budgets: one [`WallDeadline`] spans the whole tournament, checked
+/// before each arm and at the evaluator's stage boundaries; each
 /// interpreter run keeps the usual per-run op budget. Returns `Err` only
 /// when *every* arm failed (the first arm's error, in portfolio order);
 /// a red verification gate on some arms still yields a report with those
@@ -482,195 +355,107 @@ pub fn evaluate_tournament_metered(
     Result<TournamentReport, PipelineError>,
     fruntime::VmCounters,
 ) {
+    let deadline = WallDeadline::start(opts.wall_budget_ms);
     let mut vm = fruntime::VmCounters::default();
-    let out = catch_unwind(AssertUnwindSafe(|| {
-        evaluate_tournament_inner(name, source, annotations, opts, cache, &mut vm)
-    }));
-    let report = out.unwrap_or_else(|payload| {
-        Err(PipelineError::pre_pipeline(
-            name,
-            FailStage::Driver,
-            FailCause::Panic(panic_message(&*payload)),
-        ))
-    });
-    (report, vm)
+    let job = match parse_job(name, source, annotations, None) {
+        Ok(job) => job,
+        Err(e) => return (Err(e), vm),
+    };
+    let opts = scored(opts);
+    let memo = JobMemo::default();
+    let arms = portfolio();
+    let outcomes: Vec<CachedOutcome> = arms
+        .iter()
+        .map(|cfg| {
+            if deadline.expired() {
+                return Err(PipelineError::in_cell(
+                    name,
+                    cfg.mode(),
+                    FailStage::Driver,
+                    deadline.cause(opts.verify_max_ops),
+                ));
+            }
+            let key = arm_key(&cfg.label, source, annotations, opts.verify_max_ops);
+            if let Some(hit) = cache.and_then(|c| c.lookup(key)) {
+                return hit;
+            }
+            let computed = evaluate_cell(&job, cfg, &opts, deadline, &memo).map(|done| {
+                vm.absorb(&done.metrics.vm);
+                Arc::new(report_from(cfg.mode(), &done))
+            });
+            if let Some(c) = cache {
+                c.insert(key, computed.clone());
+            }
+            computed
+        })
+        .collect();
+    (tournament_report(&arms, outcomes), vm)
 }
 
-fn evaluate_tournament_inner(
-    name: &str,
-    source: &str,
-    annotations: &str,
-    opts: &DriverOptions,
-    cache: Option<&RequestCache>,
-    vm: &mut fruntime::VmCounters,
+/// Summarize a tournament's arm outcomes and judge them.
+fn tournament_report(
+    arms: &[CellConfig],
+    outcomes: Vec<CachedOutcome>,
 ) -> Result<TournamentReport, PipelineError> {
-    let arms: Vec<CellConfig> = if opts.arms.is_empty() {
-        portfolio()
-    } else {
-        opts.arms.clone()
-    };
-    let deadline = WallDeadline::start(opts.wall_budget_ms);
-    let max_ops = opts.verify_max_ops;
-
-    if opts.inject_panic.iter().any(|n| n == name) {
-        panic!("injected fault for {name}");
-    }
-
-    let (program, registry) = parse_request(name, source, annotations)?;
-
-    // Shared across arms: the baseline run (configuration-independent,
-    // computed lazily so an all-cache-hit tournament pays zero runs) and
-    // the verify-dedup map keyed by emitted-source content.
-    let mut baseline: Option<fruntime::RunResult> = None;
-    let mut verify_memo: HashMap<u128, VerifyResult> = HashMap::new();
-
-    let mut outcomes: Vec<CachedOutcome> = Vec::with_capacity(arms.len());
-    for cfg in &arms {
-        let mode = cfg.mode();
-        if deadline.expired() {
-            outcomes.push(Err(PipelineError::in_cell(
-                name,
-                mode,
-                FailStage::Driver,
-                deadline.cause(max_ops),
-            )));
-            continue;
-        }
-        let key = arm_key(&cfg.label, source, annotations, max_ops);
-        if let Some(hit) = cache.and_then(|c| c.lookup(key)) {
-            outcomes.push(hit);
-            continue;
-        }
-        let computed: CachedOutcome = (|| {
-            let mut timings = PhaseTimings::default();
-            let result =
-                compile_timed(&program, &registry, &cfg.opts, &mut timings).map_err(|d| {
-                    PipelineError::in_cell(name, mode, FailStage::Compile, FailCause::Diag(d))
-                })?;
-            if baseline.is_none() {
-                baseline = Some(baseline_guarded(name, mode, &program, opts)?);
-            }
-            let base = baseline.as_ref().expect("baseline just initialized");
-            let skey = crate::driver::source_key(&result.source);
-            let verify = match verify_memo.get(&skey) {
-                Some(v) => v.clone(),
-                None => {
-                    let v = verify_guarded(name, mode, base, &result.program, opts)?;
-                    vm.absorb(&v.vm);
-                    verify_memo.insert(skey, v.clone());
-                    v
-                }
-            };
-            Ok(Arc::new(report_from(mode, &result, &verify)))
-        })();
-        if let Some(c) = cache {
-            c.insert(key, computed.clone());
-        }
-        outcomes.push(computed);
-    }
-
-    let mut summaries: Vec<ArmSummary> = Vec::with_capacity(arms.len());
-    let mut reports: Vec<Option<Arc<RequestReport>>> = Vec::with_capacity(arms.len());
-    let mut first_err: Option<PipelineError> = None;
-    for (cfg, outcome) in arms.iter().zip(outcomes) {
-        match outcome {
-            Ok(r) => {
-                let verified = r.verified();
-                summaries.push(ArmSummary {
-                    arm: cfg.label.clone(),
-                    mode: cfg.mode(),
-                    score_micros: if verified {
-                        Some(r.score_micros())
-                    } else {
-                        None
-                    },
-                    verified,
-                    loops_parallel: r.loops_parallel,
-                    loc: r.loc,
-                    error: if verified {
-                        None
-                    } else {
-                        Some("gate".to_string())
-                    },
-                });
-                reports.push(Some(r));
-            }
-            Err(e) => {
-                summaries.push(ArmSummary {
-                    arm: cfg.label.clone(),
-                    mode: cfg.mode(),
-                    score_micros: None,
-                    verified: false,
-                    loops_parallel: 0,
-                    loc: 0,
-                    error: Some(e.code().to_string()),
-                });
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-                reports.push(None);
-            }
-        }
-    }
-
-    if reports.iter().all(|r| r.is_none()) {
+    if outcomes.iter().all(|o| o.is_err()) {
         // Every arm failed: surface the first structured error rather
         // than an empty report (portfolio order, so the diagnostic is
         // stable).
-        return Err(first_err.expect("all-failed tournament has an error"));
+        return Err(outcomes
+            .into_iter()
+            .find_map(Result::err)
+            .expect("a tournament has at least one arm"));
     }
-
-    // Winner: highest score, ties to the earliest arm in portfolio order.
-    let winner_idx: Option<usize> = summaries
+    let summaries: Vec<ArmSummary> = arms
         .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.score_micros.map(|sc| (i, sc)))
-        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-        .map(|(i, _)| i);
-
-    let parallel_set = |r: &RequestReport| -> std::collections::BTreeSet<String> {
-        r.loops
-            .iter()
-            .filter(|l| l.parallel)
-            .map(|l| format!("{}#{}", l.unit, l.idx))
-            .collect()
-    };
-    let (winner, winner_mode, winner_score, gained, lost) = match winner_idx {
-        Some(w) => {
-            let win = reports[w].as_deref().expect("scored arm has a report");
-            let none_rep: Option<&RequestReport> = arms
-                .iter()
-                .zip(&reports)
-                .find(|(cfg, r)| cfg.mode() == InlineMode::None && r.is_some())
-                .and_then(|(_, r)| r.as_deref());
-            let (gained, lost) = match none_rep {
-                Some(none) => {
-                    let a = parallel_set(none);
-                    let b = parallel_set(win);
-                    (
-                        b.difference(&a).cloned().collect(),
-                        a.difference(&b).cloned().collect(),
-                    )
+        .zip(&outcomes)
+        .map(|(cfg, outcome)| match outcome {
+            Ok(r) => {
+                let verified = r.verified();
+                ArmSummary {
+                    arm: cfg.label.clone(),
+                    mode: cfg.mode(),
+                    score_micros: verified.then(|| r.score_micros()),
+                    verified,
+                    loops_parallel: r.loops_parallel,
+                    loc: r.loc,
+                    error: (!verified).then(|| "gate".to_string()),
                 }
-                None => (Vec::new(), Vec::new()),
-            };
-            (
-                Some(summaries[w].arm.clone()),
-                Some(summaries[w].mode),
-                summaries[w].score_micros.unwrap_or(0),
-                gained,
-                lost,
-            )
-        }
-        None => (None, None, 0, Vec::new(), Vec::new()),
-    };
-
+            }
+            Err(e) => ArmSummary {
+                arm: cfg.label.clone(),
+                mode: cfg.mode(),
+                score_micros: None,
+                verified: false,
+                loops_parallel: 0,
+                loc: 0,
+                error: Some(e.code().to_string()),
+            },
+        })
+        .collect();
+    let verdict = judge(
+        &summaries
+            .iter()
+            .zip(&outcomes)
+            .map(|(s, outcome)| {
+                let parallel = outcome.as_ref().ok().map(|r| {
+                    r.loops
+                        .iter()
+                        .filter(|l| l.parallel)
+                        .map(|l| format!("{}#{}", l.unit, l.idx))
+                        .collect::<BTreeSet<String>>()
+                });
+                (s.mode, s.score_micros, parallel)
+            })
+            .collect::<Vec<_>>(),
+    );
+    let winner = verdict.winner.map(|w| &summaries[w]);
     Ok(TournamentReport {
-        winner,
-        winner_mode,
-        winner_score_micros: winner_score,
-        gained,
-        lost,
+        winner: winner.map(|s| s.arm.clone()),
+        winner_mode: winner.map(|s| s.mode),
+        winner_score_micros: winner.and_then(|s| s.score_micros).unwrap_or(0),
+        gained: verdict.gained,
+        lost: verdict.lost,
         arms: summaries,
     })
 }
@@ -1116,6 +901,53 @@ mod tests {
         };
         let p = evaluate_tournament("T", SRC, "", &seamed, None);
         assert!(matches!(&p, Err(e) if e.code() == "panic"), "{p:?}");
+    }
+
+    #[test]
+    fn tournament_wall_deadline_fails_arms_without_caching_them() {
+        // ~1M interpreter ops: the first arm's baseline alone outlasts a
+        // 1 ms budget on any host.
+        let heavy = "      PROGRAM MAIN
+      COMMON /OUT/ A(5000), TOT
+      DO J = 1, 40
+        DO I = 1, 5000
+          A(I) = A(I) + I*0.5
+        ENDDO
+      ENDDO
+      TOT = 0.0
+      DO I = 1, 5000
+        TOT = TOT + A(I)
+      ENDDO
+      WRITE(6,*) TOT
+      END
+";
+        let opts = DriverOptions {
+            wall_budget_ms: 1,
+            ..Default::default()
+        };
+        let cache = RequestCache::new(64);
+        let job = parse_job("H", heavy, "", None).unwrap();
+        let arms = portfolio();
+        let deadline = WallDeadline::start(opts.wall_budget_ms);
+        let memo = JobMemo::default();
+        // The evaluator's stage checkpoints see the request-wide deadline.
+        let first = evaluate_cell(&job, &arms[0], &scored(&opts), deadline, &memo);
+        assert!(
+            matches!(&first, Err(e) if e.cause == FailCause::Timeout { max_ops: opts.verify_max_ops, wall_ms: 1 }),
+            "{first:?}"
+        );
+        // Through the service: every arm times out, none is cached.
+        let t = evaluate_tournament("H", heavy, "", &opts, Some(&cache));
+        let e = t.expect_err("no arm beats a 1 ms budget");
+        assert!(
+            matches!(e.cause, FailCause::Timeout { wall_ms: 1, .. }),
+            "{e:?}"
+        );
+        assert_eq!(cache.stats().entries, 0, "{:?}", cache.stats());
+        // Without the budget the same tournament completes and caches.
+        let ok = evaluate_tournament("H", heavy, "", &DriverOptions::default(), Some(&cache));
+        assert!(ok.is_ok(), "{ok:?}");
+        assert!(cache.stats().entries > 0);
     }
 
     #[test]

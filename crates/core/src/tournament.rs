@@ -12,6 +12,12 @@
 //! record ([`AppTournament`]: arm scores, blocker counts, which loops
 //! flipped against the no-inline arm, cache accounting).
 //!
+//! The winner rule and the loop diff against no-inline (`judge`) and
+//! the per-machine scores (the cell evaluator's simulated points) are
+//! shared with the daemon's tournament
+//! ([`crate::service::evaluate_tournament`]), so both surfaces pick the
+//! same winner for the same program.
+//!
 //! **Cost discipline.** The arms share the per-app baseline memo and the
 //! verify-dedup cache exactly like the classic matrix columns do — arms
 //! that emit byte-identical optimized source share one verification, and
@@ -28,13 +34,14 @@
 //! shared slot first). The `tournament` integration tests assert
 //! byte-identical reports across worker counts.
 
-use crate::driver::{run_matrix, CellConfig, DriverOptions, SuiteJob};
+use crate::driver::{run_matrix, CellConfig, CellOutcome, DriverOptions, SuiteJob};
 use crate::phase::{quote, SuiteMetrics};
-use crate::pipeline::{InlineMode, PipelineOptions, PipelineResult};
-use crate::report::{extra_loops, lost_loops};
+use crate::pipeline::{InlineMode, PipelineOptions};
+use crate::report::Fig20Point;
 use finline::Heuristics;
-use fruntime::{simulate, tune, Machine};
-use std::collections::BTreeMap;
+use fruntime::Machine;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Display;
 
 /// The default tournament portfolio: the four [`InlineMode`] columns with
 /// default knobs, widened with ablation-knob variants that the bench
@@ -193,169 +200,188 @@ pub fn geomean_micros(speedups: &[f64]) -> u64 {
     ((ln_sum / speedups.len() as f64).exp() * 1e6).round() as u64
 }
 
-/// Run the configuration tournament: every job × every portfolio arm
-/// through the shared-cache matrix, scored on `opts.machines` (the
-/// paper's two hosts when empty). Arms come from [`DriverOptions::arms`],
-/// or [`portfolio`] when that is empty.
-pub fn run_tournament(jobs: &[SuiteJob], opts: &DriverOptions) -> TournamentOutcome {
-    let arms: Vec<CellConfig> = if opts.arms.is_empty() {
-        portfolio()
-    } else {
-        opts.arms.clone()
+impl MachineScore {
+    /// The integer-comparable score of one simulated machine point.
+    pub(crate) fn of(point: &Fig20Point) -> MachineScore {
+        MachineScore {
+            machine: point.machine.clone(),
+            speedup_micros: (point.speedup * 1e6).round() as u64,
+            tuned_off: point.tuned_off,
+        }
+    }
+}
+
+/// An arm's score: the geometric mean of its per-machine speedups,
+/// micro-units ([`geomean_micros`]).
+pub(crate) fn arm_score(machines: &[MachineScore]) -> u64 {
+    geomean_micros(
+        &machines
+            .iter()
+            .map(|s| s.speedup_micros as f64 / 1e6)
+            .collect::<Vec<f64>>(),
+    )
+}
+
+/// One arm as [`judge`] sees it: its mode, its score (`None` when it did
+/// not score), and its parallel-loop set (`None` when it did not
+/// complete).
+pub(crate) type ArmResult<L> = (InlineMode, Option<u64>, Option<BTreeSet<L>>);
+
+/// A portfolio's verdict: the winning arm and how its parallel-loop set
+/// differs from the no-inline arm's.
+pub(crate) struct Verdict {
+    /// Index of the winning arm; `None` when no arm scored.
+    pub(crate) winner: Option<usize>,
+    /// Loops parallel under the winner but not under no-inline.
+    pub(crate) gained: Vec<String>,
+    /// Loops parallel under no-inline but not under the winner.
+    pub(crate) lost: Vec<String>,
+}
+
+/// Judge a portfolio, arms in portfolio order — the one winner rule
+/// behind [`run_tournament`] and the daemon's tournament
+/// ([`crate::service::evaluate_tournament`]). The winner has the highest
+/// score, ties going to the earliest arm (so widening the portfolio never
+/// flips a tie away from the classic configuration that held it). The
+/// diff is against the first completed no-inline arm, and empty when the
+/// portfolio has none. Loop labels come out in the order of `L`.
+pub(crate) fn judge<L: Ord + Display>(arms: &[ArmResult<L>]) -> Verdict {
+    let winner = arms
+        .iter()
+        .enumerate()
+        .filter_map(|(i, arm)| arm.1.map(|score| (i, score)))
+        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+        .map(|(i, _)| i);
+    let none = arms
+        .iter()
+        .find_map(|(mode, _, set)| set.as_ref().filter(|_| *mode == InlineMode::None));
+    let diff = |a: &BTreeSet<L>, b: &BTreeSet<L>| -> Vec<String> {
+        a.difference(b).map(|l| l.to_string()).collect()
     };
+    let (gained, lost) = match (winner.and_then(|w| arms[w].2.as_ref()), none) {
+        (Some(win), Some(none)) => (diff(win, none), diff(none, win)),
+        _ => (Vec::new(), Vec::new()),
+    };
+    Verdict {
+        winner,
+        gained,
+        lost,
+    }
+}
+
+/// Run the configuration tournament: every job × every [`portfolio`] arm
+/// through the shared-cache matrix, scored on `opts.machines` (the
+/// paper's two hosts when empty).
+pub fn run_tournament(jobs: &[SuiteJob], opts: &DriverOptions) -> TournamentOutcome {
+    let arms = portfolio();
     let machines: Vec<Machine> = if opts.machines.is_empty() {
         default_machines()
     } else {
         opts.machines.clone()
     };
-
-    let mx = run_matrix(jobs, &arms, opts);
-    let mut apps = Vec::with_capacity(jobs.len());
-    for (job, row) in jobs.iter().zip(mx.cells) {
-        let mut scores: Vec<ArmScore> = Vec::with_capacity(arms.len());
-        let mut payloads: Vec<Option<Box<PipelineResult>>> = Vec::with_capacity(arms.len());
-        let mut interp_runs = 0u64;
-        let mut arms_cached = 0u64;
-        for (cfg, outcome) in arms.iter().zip(row) {
-            match outcome {
-                Ok(done) => {
-                    interp_runs += done.metrics.interp_runs;
-                    if done.metrics.verify_cached {
-                        arms_cached += 1;
-                    }
-                    let ok = done.verify.ok();
-                    let machine_scores: Vec<MachineScore> = if ok {
-                        machines
-                            .iter()
-                            .map(|m| {
-                                let disabled = tune(&done.verify.par_events, m);
-                                let sim = simulate(
-                                    done.verify.total_ops,
-                                    &done.verify.par_events,
-                                    m,
-                                    &disabled,
-                                );
-                                MachineScore {
-                                    machine: m.name.to_string(),
-                                    speedup_micros: (sim.speedup() * 1e6).round() as u64,
-                                    tuned_off: disabled.len(),
-                                }
-                            })
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    let score = if ok {
-                        Some(geomean_micros(
-                            &machine_scores
-                                .iter()
-                                .map(|s| s.speedup_micros as f64 / 1e6)
-                                .collect::<Vec<f64>>(),
-                        ))
-                    } else {
-                        None
-                    };
-                    scores.push(ArmScore {
-                        arm: cfg.label.clone(),
-                        mode: cfg.mode().label(),
-                        ok,
-                        score_micros: score,
-                        machines: machine_scores,
-                        loops_total: done.metrics.loops_total,
-                        loops_parallel: done.metrics.loops_parallel,
-                        loc: done.result.loc,
-                        blockers: done.metrics.blockers.clone(),
-                        error: if ok { None } else { Some("gate".to_string()) },
-                    });
-                    payloads.push(Some(Box::new(done.result)));
-                }
-                Err(e) => {
-                    scores.push(ArmScore {
-                        arm: cfg.label.clone(),
-                        mode: cfg.mode().label(),
-                        ok: false,
-                        score_micros: None,
-                        machines: Vec::new(),
-                        loops_total: 0,
-                        loops_parallel: 0,
-                        loc: 0,
-                        blockers: BTreeMap::new(),
-                        error: Some(e.code().to_string()),
-                    });
-                    payloads.push(None);
-                }
-            }
-        }
-
-        // Winner: highest score, ties to the earliest arm in portfolio
-        // order (so widening the portfolio never flips a tie away from
-        // the classic configuration that held it).
-        let winner_idx: Option<usize> = scores
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.score_micros.map(|sc| (i, sc)))
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i);
-
-        let (winner, winner_score, gained, lost, directives) = match winner_idx {
-            Some(w) => {
-                let win_res = payloads[w].as_deref().expect("scored arm retains payload");
-                // Diff against the first completed no-inline arm, when
-                // the portfolio carries one and it isn't the winner
-                // itself.
-                let none_res: Option<&PipelineResult> = arms
-                    .iter()
-                    .zip(&payloads)
-                    .find(|(cfg, p)| cfg.mode() == InlineMode::None && p.is_some())
-                    .and_then(|(_, p)| p.as_deref());
-                let (gained, lost) = match none_res {
-                    Some(none) => (
-                        extra_loops(none, win_res)
-                            .iter()
-                            .map(|id| id.to_string())
-                            .collect(),
-                        lost_loops(none, win_res)
-                            .iter()
-                            .map(|id| id.to_string())
-                            .collect(),
-                    ),
-                    None => (Vec::new(), Vec::new()),
-                };
-                let directives: Vec<String> = win_res
-                    .source
-                    .lines()
-                    .filter(|l| l.trim_start().starts_with("!$OMP"))
-                    .map(|l| l.trim().to_string())
-                    .collect();
-                (
-                    Some(scores[w].arm.clone()),
-                    scores[w].score_micros.unwrap_or(0),
-                    gained,
-                    lost,
-                    directives,
-                )
-            }
-            None => (None, 0, Vec::new(), Vec::new(), Vec::new()),
-        };
-
-        apps.push(AppTournament {
-            app: job.name.clone(),
-            winner,
-            winner_score_micros: winner_score,
-            gained,
-            lost,
-            directives,
-            interp_runs,
-            arms_cached,
-            arms: scores,
-        });
-    }
-
+    let opts = DriverOptions {
+        machines,
+        ..opts.clone()
+    };
+    let mx = run_matrix(jobs, &arms, &opts);
     TournamentOutcome {
-        machines: machines.iter().map(|m| m.name.to_string()).collect(),
+        machines: opts.machines.iter().map(|m| m.name.to_string()).collect(),
         arm_labels: arms.iter().map(|c| c.label.clone()).collect(),
-        apps,
+        apps: jobs
+            .iter()
+            .zip(mx.cells)
+            .map(|(job, row)| app_tournament(&job.name, &arms, &row))
+            .collect(),
         metrics: mx.metrics,
+    }
+}
+
+/// Score one app's row of arms and judge it.
+fn app_tournament(app: &str, arms: &[CellConfig], row: &[CellOutcome]) -> AppTournament {
+    let mut interp_runs = 0u64;
+    let mut arms_cached = 0u64;
+    let scores: Vec<ArmScore> = arms
+        .iter()
+        .zip(row)
+        .map(|(cfg, outcome)| match outcome {
+            Ok(done) => {
+                interp_runs += done.metrics.interp_runs;
+                arms_cached += u64::from(done.metrics.verify_cached);
+                let ok = done.verify.ok();
+                let machines: Vec<MachineScore> = if ok {
+                    done.fig20.iter().map(MachineScore::of).collect()
+                } else {
+                    Vec::new()
+                };
+                ArmScore {
+                    arm: cfg.label.clone(),
+                    mode: cfg.mode().label(),
+                    ok,
+                    score_micros: ok.then(|| arm_score(&machines)),
+                    machines,
+                    loops_total: done.metrics.loops_total,
+                    loops_parallel: done.metrics.loops_parallel,
+                    loc: done.result.loc,
+                    blockers: done.metrics.blockers.clone(),
+                    error: (!ok).then(|| "gate".to_string()),
+                }
+            }
+            Err(e) => ArmScore {
+                arm: cfg.label.clone(),
+                mode: cfg.mode().label(),
+                ok: false,
+                score_micros: None,
+                machines: Vec::new(),
+                loops_total: 0,
+                loops_parallel: 0,
+                loc: 0,
+                blockers: BTreeMap::new(),
+                error: Some(e.code().to_string()),
+            },
+        })
+        .collect();
+
+    let verdict = judge(
+        &arms
+            .iter()
+            .zip(&scores)
+            .zip(row)
+            .map(|((cfg, score), outcome)| {
+                (
+                    cfg.mode(),
+                    score.score_micros,
+                    outcome.as_ref().ok().map(|d| d.result.parallel_loops()),
+                )
+            })
+            .collect::<Vec<_>>(),
+    );
+    // The winning directive set: every `!$OMP` line of its emitted source.
+    let directives = verdict
+        .winner
+        .and_then(|w| row[w].as_ref().ok())
+        .map(|done| {
+            done.result
+                .source
+                .lines()
+                .filter(|l| l.trim_start().starts_with("!$OMP"))
+                .map(|l| l.trim().to_string())
+                .collect()
+        })
+        .unwrap_or_default();
+
+    AppTournament {
+        app: app.to_string(),
+        winner: verdict.winner.map(|w| scores[w].arm.clone()),
+        winner_score_micros: verdict
+            .winner
+            .and_then(|w| scores[w].score_micros)
+            .unwrap_or(0),
+        gained: verdict.gained,
+        lost: verdict.lost,
+        directives,
+        interp_runs,
+        arms_cached,
+        arms: scores,
     }
 }
 

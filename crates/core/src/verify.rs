@@ -81,10 +81,8 @@ pub fn verify_with_baseline(
 }
 
 /// [`verify_with_baseline`] with explicit executor options for the
-/// threaded run. The legacy evaluation path passes
-/// `spawn_threads: Some(true)` to reproduce the seed executor's
-/// always-spawn behavior; the gates and the result are identical
-/// either way.
+/// threaded run (thread count, op budget, engine, spawn policy); the
+/// sequential gate run shares its op budget and engine.
 pub fn verify_with_baseline_using(
     base: &fruntime::RunResult,
     optimized: &Program,

@@ -8,19 +8,11 @@
 //! with the runtime testers (original ≡ optimized, sequential ≡ threaded),
 //! measures the op counts, applies the §IV-B empirical-tuning step per
 //! machine, and emits the table rows / figure points.
-//!
-//! [`evaluate_app_serial`] preserves the pre-driver serial path — one
-//! full three-run `verify` plus a separate cost-model run per
-//! configuration — as the baseline the `driver_scaling` benchmark
-//! measures the driver against.
 
 use crate::suite::App;
-use fruntime::{run, simulate, tune, ExecOptions, Machine};
+use fruntime::Machine;
 use ipp_core::driver::{run_suite, AppReport, DriverOptions, SuiteJob, SuiteOutcome};
-use ipp_core::{
-    compile, table2_rows, verify_with_baseline_using, Fig20Point, InlineMode, PipelineOptions,
-    PipelineResult, SuiteMetrics, Table2Row, VerifyResult,
-};
+use ipp_core::{Fig20Point, InlineMode, PipelineResult, SuiteMetrics, Table2Row, VerifyResult};
 
 /// Everything measured for one application.
 #[derive(Debug, Clone)]
@@ -118,85 +110,6 @@ pub fn evaluate_suite_with_metrics(
     (evals, metrics)
 }
 
-/// The pre-driver serial path: per configuration, one three-run `verify`
-/// against the original plus a separate sequential run for the cost model
-/// — 16 interpreter runs per application (4 configurations), no
-/// memoization. Kept as the
-/// measured baseline for the `driver_scaling` benchmark and the
-/// driver-equivalence tests.
-pub fn evaluate_app_serial(app: &App, machines: &[Machine]) -> AppEvaluation {
-    let program = app.program();
-    let registry = app.registry();
-
-    let mut results = Vec::new();
-    let mut verifies = Vec::new();
-    let mut fig20 = Vec::new();
-
-    // The seed's executor spawned OS threads for every parallel chunk
-    // regardless of host CPU count; the threaded verification run here
-    // does the same so this baseline reproduces the pre-driver
-    // evaluation cost faithfully (the results are identical either way).
-    let par_opts = ExecOptions {
-        threads: VERIFY_THREADS,
-        spawn_threads: Some(true),
-        ..Default::default()
-    };
-
-    for mode in InlineMode::all() {
-        let r = compile(&program, &registry, &PipelineOptions::for_mode(mode));
-        let base = ipp_core::baseline_run(&program).unwrap_or_else(|e| {
-            panic!(
-                "{} [{}]: runtime tester failed: {e}",
-                app.name,
-                mode.label()
-            )
-        });
-        let v = verify_with_baseline_using(&base, &r.program, &par_opts).unwrap_or_else(|e| {
-            panic!(
-                "{} [{}]: runtime tester failed: {e}",
-                app.name,
-                mode.label()
-            )
-        });
-
-        // Figure 20: simulate each machine with empirical tuning.
-        let seq = run(&r.program, &ExecOptions::default())
-            .unwrap_or_else(|e| panic!("{} [{}]: {e}", app.name, mode.label()));
-        for m in machines {
-            let disabled = tune(&seq.par_events, m);
-            let sim = simulate(seq.total_ops, &seq.par_events, m, &disabled);
-            fig20.push(Fig20Point {
-                app: app.name.to_string(),
-                config: mode.label().to_string(),
-                machine: m.name.to_string(),
-                speedup: sim.speedup(),
-                tuned_off: disabled.len(),
-            });
-        }
-
-        verifies.push((mode, v));
-        results.push((mode, r));
-    }
-
-    let rows = table2_rows(app.name, &results[0].1, &results[1].1, &results[2].1);
-    AppEvaluation {
-        name: app.name,
-        rows,
-        fig20,
-        verify: verifies,
-        results,
-        failures: Vec::new(),
-    }
-}
-
-/// Evaluate the whole suite on the legacy serial path (bench baseline).
-pub fn evaluate_suite_serial(machines: &[Machine]) -> Vec<AppEvaluation> {
-    crate::suite::all()
-        .iter()
-        .map(|a| evaluate_app_serial(a, machines))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,15 +151,49 @@ mod tests {
     }
 
     #[test]
-    fn driver_matches_serial_path_on_one_app() {
-        let app = by_name("TRFD").unwrap();
+    fn every_cell_evaluated_alone_equals_its_cached_suite_cell() {
+        use ipp_core::driver::{evaluate_cell, CellConfig, JobMemo, WallDeadline};
         let machines = [Machine::intel8(), Machine::amd4()];
-        let fast = evaluate_app(&app, &machines);
-        let slow = evaluate_app_serial(&app, &machines);
-        assert_eq!(fast.rows, slow.rows);
-        assert_eq!(fast.fig20, slow.fig20);
-        for ((_, a), (_, b)) in fast.results.iter().zip(&slow.results) {
-            assert_eq!(a.source, b.source);
+        let opts = driver_options(&machines);
+        for app in crate::suite::all() {
+            // The cached run: four columns sharing one baseline and the
+            // verify-dedup map.
+            let cached = evaluate_app(&app, &machines);
+            assert!(cached.all_verified(), "{}", app.name);
+            let job = suite_job(&app);
+            for (i, mode) in InlineMode::all().into_iter().enumerate() {
+                // The same cell alone: a fresh memo, so nothing is shared.
+                let alone = evaluate_cell(
+                    &job,
+                    &CellConfig::for_mode(mode),
+                    &opts,
+                    WallDeadline::start(0),
+                    &JobMemo::default(),
+                )
+                .unwrap_or_else(|e| panic!("{e}"));
+                let (cached_mode, result) = &cached.results[i];
+                assert_eq!(*cached_mode, mode);
+                let cell = format!("{} [{}]", app.name, mode.label());
+                // Table II's inputs, the emitted source, Figure 20.
+                assert_eq!(
+                    alone.result.parallel_loops(),
+                    result.parallel_loops(),
+                    "{cell}"
+                );
+                assert_eq!(alone.result.loc, result.loc, "{cell}");
+                assert_eq!(alone.result.source, result.source, "{cell}");
+                let points: Vec<&Fig20Point> = cached
+                    .fig20
+                    .iter()
+                    .filter(|p| p.config == mode.label())
+                    .collect();
+                assert_eq!(alone.fig20.iter().collect::<Vec<_>>(), points, "{cell}");
+                let verify = &cached.verify[i].1;
+                assert_eq!(alone.verify.ok(), verify.ok(), "{cell}");
+                assert_eq!(alone.verify.total_ops, verify.total_ops, "{cell}");
+                assert_eq!(alone.verify.races, verify.races, "{cell}");
+                assert_eq!(alone.metrics.interp_runs, 3, "{cell}");
+            }
         }
     }
 }
